@@ -48,8 +48,6 @@ from .privacy import (
     pure_ldp_bound,
     pure_ldp_epsilon,
     separation_breakdown,
-    separation_defect_gaussian,
-    separation_defect_laplace,
     worst_case_defect,
 )
 
@@ -86,8 +84,6 @@ __all__ = [
     "pure_ldp_epsilon",
     "sample",
     "separation_breakdown",
-    "separation_defect_gaussian",
-    "separation_defect_laplace",
     "spec_from_dict",
     "sweep_param",
     "sweep_support",

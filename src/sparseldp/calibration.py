@@ -11,10 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mechanisms import (
-    GAUSSIAN,
     LAPLACE,
     DistortionMoments,
     Kernel,
@@ -23,9 +20,8 @@ from .mechanisms import (
     _check_epsilon,
     _check_int,
     distortion_moments,
-    window_weights,
 )
-from .privacy import worst_case_defect
+from .privacy import separation_breakdown, worst_case_defect
 
 
 @dataclass(frozen=True)
@@ -74,13 +70,6 @@ def feasibility_min_support(privacy_range: int) -> int:
     return s if s % 2 == 1 else s + 1
 
 
-def _leakage_only_delta(kernel: Kernel, radius: int, separation: int) -> float:
-    # tail sum of window weights at distances radius-separation+1 .. radius
-    c = float(window_weights(kernel, radius).sum())
-    j = np.arange(radius - separation + 1, radius + 1, dtype=float)
-    return float(np.exp(kernel.log_weight(j)).sum()) / c
-
-
 def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) -> CleanBoundReport:
     """Leakage-only defect for the Laplace window family, when it applies.
 
@@ -96,7 +85,7 @@ def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) 
     condition_size = s >= 2 * privacy_range + 1
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
-    exact = _leakage_only_delta(params.kernel, params.t, privacy_range)
+    exact = separation_breakdown(params.kernel, epsilon, params.t, privacy_range).support_leakage
     bound = privacy_range * math.exp(-lam * (params.t - privacy_range + 1))
     return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
 
@@ -115,7 +104,7 @@ def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: in
     condition_size = s >= 2 * privacy_range + 1
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
-    exact = _leakage_only_delta(params.kernel, t, privacy_range)
+    exact = separation_breakdown(params.kernel, epsilon, t, privacy_range).support_leakage
     gap = t - privacy_range + 1
     bound = privacy_range * math.exp(-(gap * gap) / (2.0 * sigma * sigma))
     return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
@@ -127,7 +116,7 @@ def _next_odd_at_least(value: float) -> int:
 
 
 def _check_delta(delta) -> float:
-    if not (isinstance(delta, (int, float)) and 0 < delta <= 1):
+    if isinstance(delta, bool) or not (isinstance(delta, (int, float)) and 0 < delta <= 1):
         raise SpecError(f"target delta must lie in (0, 1], got {delta!r}")
     return float(delta)
 
@@ -218,26 +207,26 @@ def min_feasible_support(
     return DesignResult(False, None, None, None, scanned)
 
 
-def sweep_support(kernel: Kernel, epsilon: float, privacy_range: int, s_list) -> list[SweepRow]:
-    """One row (s, worst-case defect, r1, r2) per support size."""
-    if not list(s_list):
-        raise SpecError("support sweep needs at least one size")
+def _sweep(points, epsilon: float, privacy_range: int, empty_message: str) -> list[SweepRow]:
+    # one row per (varied value, kernel, support size) point
+    points = list(points)
+    if not points:
+        raise SpecError(empty_message)
     rows = []
-    for s in s_list:
+    for varied, kernel, s in points:
         delta_star, _ = worst_case_defect(kernel, s, epsilon, privacy_range)
         m = distortion_moments(TruncatedParams(kernel, s))
-        rows.append(SweepRow(float(s), delta_star, m.r1, m.r2))
+        rows.append(SweepRow(float(varied), delta_star, m.r1, m.r2))
     return rows
+
+
+def sweep_support(kernel: Kernel, epsilon: float, privacy_range: int, s_list) -> list[SweepRow]:
+    """One row (s, worst-case defect, r1, r2) per support size."""
+    points = ((s, kernel, s) for s in s_list)
+    return _sweep(points, epsilon, privacy_range, "support sweep needs at least one size")
 
 
 def sweep_param(family: str, param_list, epsilon: float, privacy_range: int, s: int) -> list[SweepRow]:
     """One row per kernel parameter value at a fixed support size."""
-    if not list(param_list):
-        raise SpecError("parameter sweep needs at least one value")
-    rows = []
-    for p in param_list:
-        kernel = Kernel(family, float(p))
-        delta_star, _ = worst_case_defect(kernel, s, epsilon, privacy_range)
-        m = distortion_moments(TruncatedParams(kernel, s))
-        rows.append(SweepRow(float(p), delta_star, m.r1, m.r2))
-    return rows
+    points = ((p, Kernel(family, float(p)), s) for p in param_list)
+    return _sweep(points, epsilon, privacy_range, "parameter sweep needs at least one value")

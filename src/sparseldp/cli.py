@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .calibration import min_feasible_support, sweep_param, sweep_support
-from .mechanisms import Kernel, SpecError, TruncatedParams, load_spec, sample
+from .mechanisms import Kernel, SpecError, TruncatedParams, _check_int, load_spec, sample
 from .privacy import pure_ldp_epsilon, separation_breakdown, worst_case_defect
 
 FORMATS = ("csv", "json", "table")
@@ -27,10 +27,6 @@ def _fmt4(x: float) -> str:
     return str(Decimal(x).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
-def _fmt_varied(x: float) -> str:
-    return f"{x:g}"
-
-
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -39,183 +35,126 @@ def _csv_cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _table_cell(v) -> str:
+    if v is None:
+        return ""
+    return _fmt4(v) if isinstance(v, float) else str(v)
 
 
-def _rows_text(header: list[str], rows: list[list], fmt: str) -> str:
+def _render(header: list[str], rows: list[list], fmt: str, *, record: bool = False, table_formats=None) -> str:
+    """Format result rows as csv, json or an aligned table.
+
+    csv: full-precision repr, empty cells for None, lowercase bools.
+    json: one object per row, as an array; a `record` (one-row result) prints
+    its bare object.  table: floats to 4 decimals, None blank, left-aligned
+    columns; `table_formats` maps a column name to its own cell formatter.
+    """
+    if fmt == "json":
+        docs = [dict(zip(header, row)) for row in rows]
+        return json.dumps(docs[0] if record else docs, indent=2) + "\n"
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    # table: 4-decimal floats, left-aligned columns
-    cells = [header] + [
-        [_fmt4(v) if isinstance(v, float) else ("" if v is None else str(v)) for v in row] for row in rows
-    ]
+        cells = [header] + [[_csv_cell(v) for v in row] for row in rows]
+        return "\n".join(",".join(r) for r in cells) + "\n"
+    formats = [(table_formats or {}).get(name, _table_cell) for name in header]
+    cells = [header] + [[f(v) for f, v in zip(formats, row)] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells) + "\n"
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, convert) -> list:
     items = [v for v in text.split(",") if v.strip()]
     if not items:
         raise SpecError(f"{flag} needs at least one value")
     try:
-        return [int(v) for v in items]
+        return [convert(v) for v in items]
     except ValueError:
-        raise SpecError(f"{flag} must be a comma-separated list of integers") from None
+        kind = "integers" if convert is int else "numbers"
+        raise SpecError(f"{flag} must be a comma-separated list of {kind}") from None
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    items = [v for v in text.split(",") if v.strip()]
-    if not items:
-        raise SpecError(f"{flag} needs at least one value")
-    try:
-        return [float(v) for v in items]
-    except ValueError:
-        raise SpecError(f"{flag} must be a comma-separated list of numbers") from None
-
-
-def cmd_defect(args) -> int:
+def cmd_defect(args) -> tuple[str, int]:
     kernel = Kernel(args.family, args.param)
-    params = TruncatedParams(kernel, args.s, args.eps, args.range)
     if args.per_h:
+        t = TruncatedParams(kernel, args.s).t
         rows = []
-        for h in range(args.range + 1):
-            b = separation_breakdown(kernel, args.eps, params.t, h)
+        for h in range(_check_int("privacy range", args.range, 0) + 1):
+            b = separation_breakdown(kernel, args.eps, t, h)
             rows.append([h, b.total, b.support_leakage, b.overlap_excess])
-        if args.format == "json":
-            text = _json_text(
-                [
-                    {"h": r[0], "delta_h": r[1], "leakage": r[2], "overlap": r[3]}
-                    for r in rows
-                ]
-            )
-        else:
-            text = _rows_text(["h", "delta_h", "leakage", "overlap"], rows, args.format)
+        text = _render(["h", "delta_h", "leakage", "overlap"], rows, args.format)
     else:
         delta_star, argmax_h = worst_case_defect(kernel, args.s, args.eps, args.range)
-        if args.format == "json":
-            text = _json_text({"delta_star": delta_star, "argmax_h": argmax_h})
-        else:
-            text = _rows_text(["delta_star", "argmax_h"], [[delta_star, argmax_h]], args.format)
-    _emit(text, args.out)
-    return 0
+        text = _render(["delta_star", "argmax_h"], [[delta_star, argmax_h]], args.format, record=True)
+    return text, 0
 
 
-def cmd_design(args) -> int:
+def cmd_design(args) -> tuple[str, int]:
     kernel = Kernel(args.family, args.param)
     res = min_feasible_support(kernel, args.eps, args.delta, args.range, args.s_max)
-    r1 = res.moments.r1 if res.moments else None
-    r2 = res.moments.r2 if res.moments else None
-    if args.format == "json":
-        text = _json_text(
-            {
-                "feasible": res.feasible,
-                "s": res.s_chosen,
-                "delta_star": res.achieved_delta_star,
-                "r1": r1,
-                "r2": r2,
-                "s_scanned_max": res.s_scanned_max,
-            }
-        )
-    else:
-        text = _rows_text(
-            ["feasible", "s", "delta_star", "r1", "r2", "s_scanned_max"],
-            [[res.feasible, res.s_chosen, res.achieved_delta_star, r1, r2, res.s_scanned_max]],
-            args.format,
-        )
-    _emit(text, args.out)
-    return 0 if res.feasible else 1
+    m = res.moments
+    r1, r2 = (m.r1, m.r2) if m else (None, None)
+    row = [res.feasible, res.s_chosen, res.achieved_delta_star, r1, r2, res.s_scanned_max]
+    header = ["feasible", "s", "delta_star", "r1", "r2", "s_scanned_max"]
+    return _render(header, [row], args.format, record=True), 0 if res.feasible else 1
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     if args.kind == "support":
         if args.s_list is None or args.param is None:
             raise SpecError("support sweep needs --param (fixed kernel) and --s-list (varied sizes)")
         kernel = Kernel(args.family, args.param)
-        rows = sweep_support(kernel, args.eps, args.range, _parse_int_list(args.s_list, "--s-list"))
+        rows = sweep_support(kernel, args.eps, args.range, _parse_list(args.s_list, "--s-list", int))
     else:
         if args.param_list is None or args.s is None:
             raise SpecError("param sweep needs --s (fixed size) and --param-list (varied kernel values)")
-        rows = sweep_param(
-            args.family, _parse_float_list(args.param_list, "--param-list"), args.eps, args.range, args.s
-        )
-    if args.format == "json":
-        text = _json_text(
-            [{"varied": r.varied, "delta_star": r.delta_star, "r1": r.r1, "r2": r.r2} for r in rows]
-        )
-    elif args.format == "csv":
-        lines = ["varied,delta_star,r1,r2"]
-        lines += [f"{_csv_cell(r.varied)},{_csv_cell(r.delta_star)},{_csv_cell(r.r1)},{_csv_cell(r.r2)}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        cells = [["varied", "delta_star", "r1", "r2"]] + [
-            [_fmt_varied(r.varied), _fmt4(r.delta_star), _fmt4(r.r1), _fmt4(r.r2)] for r in rows
-        ]
-        widths = [max(len(r[i]) for r in cells) for i in range(4)]
-        text = "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells) + "\n"
-    _emit(text, args.out)
-    return 0
+        params = _parse_list(args.param_list, "--param-list", float)
+        rows = sweep_param(args.family, params, args.eps, args.range, args.s)
+    text = _render(
+        ["varied", "delta_star", "r1", "r2"],
+        [[r.varied, r.delta_star, r.r1, r.r2] for r in rows],
+        args.format,
+        table_formats={"varied": "{:g}".format},
+    )
+    return text, 0
 
 
-def cmd_check_pure(args) -> int:
-    spec = load_spec(args.spec)
-    res = pure_ldp_epsilon(spec)
+def cmd_check_pure(args) -> tuple[str, int]:
+    res = pure_ldp_epsilon(load_spec(args.spec))
     witness = list(res.witness) if res.witness is not None else None
     if args.format == "json":
-        text = _json_text({"finite": res.finite, "epsilon_star": res.epsilon_star, "witness": witness})
+        header = ["finite", "epsilon_star", "witness"]
+        text = _render(header, [[res.finite, res.epsilon_star, witness]], "json", record=True)
     elif args.format == "csv":
-        w = witness or ["", "", ""]
-        text = (
-            "finite,epsilon_star,witness_x,witness_x_prime,witness_y\n"
-            f"{_csv_cell(res.finite)},{_csv_cell(res.epsilon_star)},{w[0]},{w[1]},{w[2]}\n"
-        )
+        header = ["finite", "epsilon_star", "witness_x", "witness_x_prime", "witness_y"]
+        text = _render(header, [[res.finite, res.epsilon_star, *(witness or [None] * 3)]], "csv")
+    elif res.finite:
+        text = f"pure level: {_fmt4(res.epsilon_star)}\nwitness: {witness}\n"
     else:
-        if res.finite:
-            eps = "0.0000" if res.epsilon_star is None else _fmt4(res.epsilon_star)
-            text = f"pure level: {eps}\nwitness: {witness}\n"
-        else:
-            text = f"not pure for any finite level\nsupport mismatch witness: {witness}\n"
-    _emit(text, args.out)
-    return 0 if res.finite else 1
+        text = f"not pure for any finite level\nsupport mismatch witness: {witness}\n"
+    return text, 0 if res.finite else 1
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[str, int]:
     params = TruncatedParams(Kernel(args.family, args.param), args.s)
     draws = sample(params, args.x, args.seed, args.n)
     if args.histogram:
         values, counts = np.unique(draws, return_counts=True)
         rows = [[int(v), int(c)] for v, c in zip(values, counts)]
-        if args.format == "json":
-            text = _json_text([{"value": r[0], "count": r[1]} for r in rows])
-        else:
-            text = _rows_text(["value", "count"], rows, args.format)
+        text = _render(["value", "count"], rows, args.format)
+    elif args.format == "json":
+        text = _render(["samples"], [[[int(v) for v in draws]]], "json", record=True)
+    elif args.format == "csv":
+        text = _render(["sample"], [[int(v)] for v in draws], "csv")
     else:
-        if args.format == "json":
-            text = _json_text({"samples": [int(v) for v in draws]})
-        else:
-            lines = ["sample"] if args.format == "csv" else []
-            lines += [str(int(v)) for v in draws]
-            text = "\n".join(lines) + "\n" if lines else ""
-    _emit(text, args.out)
-    return 0
+        # a raw table is the bare draws, one per line, without a header
+        text = "".join(f"{int(v)}\n" for v in draws)
+    return text, 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, family=True, out=True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, family=True) -> None:
     if family:
         p.add_argument("--family", choices=("laplace", "gaussian"), required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    if out:
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,11 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SpecError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        text, code = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (SpecError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

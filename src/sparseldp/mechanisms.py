@@ -42,7 +42,9 @@ class Kernel:
     def __post_init__(self):
         if self.family not in (LAPLACE, GAUSSIAN):
             raise SpecError(f"kernel family must be {LAPLACE!r} or {GAUSSIAN!r}, got {self.family!r}")
-        if not (isinstance(self.param, (int, float)) and math.isfinite(self.param) and self.param > 0):
+        if isinstance(self.param, bool) or not (
+            isinstance(self.param, (int, float)) and math.isfinite(self.param) and self.param > 0
+        ):
             raise SpecError(f"kernel parameter must be a positive finite number, got {self.param!r}")
 
     @classmethod
@@ -76,7 +78,7 @@ def _check_int(name: str, value, minimum: int | None = None):
 
 
 def _check_epsilon(epsilon) -> float:
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon >= 0):
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon >= 0):
         raise SpecError(f"epsilon must be a nonnegative finite number, got {epsilon!r}")
     return float(epsilon)
 
@@ -193,22 +195,16 @@ class TruncatedParams:
     """Translation-invariant window family with support {x - t, ..., x + t}.
 
     `s` is the odd support size, t = (s - 1) / 2 the window radius.
-    `epsilon` and `privacy_range` ride along for callers that pass the whole
-    bundle around; the mechanism-level operations read only `kernel` and `s`.
     """
 
     kernel: Kernel
     s: int
-    epsilon: float = 0.0
-    privacy_range: int = 0
 
     def __post_init__(self):
         s = _check_int("support size", self.s, 1)
         if s % 2 == 0:
             raise SpecError(f"support size must be odd so the window radius is an integer, got {s}")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "privacy_range", _check_int("privacy range", self.privacy_range, 0))
-        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
 
     @property
     def t(self) -> int:
@@ -259,11 +255,12 @@ def truncated_spec(params: TruncatedParams, inputs: Sequence[int]) -> MechanismS
 def distortion_moments(params: TruncatedParams) -> DistortionMoments:
     """Closed-form first and second distortion moments of the window family."""
     t = params.t
-    c = window_normalizer(params.kernel, t)
+    w = window_weights(params.kernel, t)
+    c = float(w.sum())
     j = np.arange(1, t + 1, dtype=float)
-    w = np.exp(params.kernel.log_weight(j))
-    r1 = float(2.0 * np.sum(j * w) / c)
-    r2 = float(2.0 * np.sum(j * j * w) / c)
+    tail = w[t + 1 :]  # weights at distances 1..t
+    r1 = float(2.0 * np.sum(j * tail) / c)
+    r2 = float(2.0 * np.sum(j * j * tail) / c)
     return DistortionMoments(r1, r2)
 
 

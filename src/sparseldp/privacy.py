@@ -22,7 +22,6 @@ from .mechanisms import (
     TruncatedParams,
     _check_epsilon,
     _check_int,
-    window_weights,
 )
 
 
@@ -188,16 +187,6 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     return DefectBreakdown(leakage, excess)
 
 
-def separation_defect_laplace(epsilon: float, lam: float, radius: int, separation: int) -> float:
-    """Exact window-family defect at the given separation, Laplace kernel."""
-    return separation_breakdown(Kernel.laplace(lam), epsilon, radius, separation).total
-
-
-def separation_defect_gaussian(epsilon: float, sigma: float, radius: int, separation: int) -> float:
-    """Exact window-family defect at the given separation, Gaussian kernel."""
-    return separation_breakdown(Kernel.gaussian(sigma), epsilon, radius, separation).total
-
-
 def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int]:
     """Max separation defect over separations 0..privacy_range, with argmax.
 
@@ -205,6 +194,7 @@ def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int
     contributes 0 and ties break toward the smallest separation.
     """
     params = TruncatedParams(kernel, s)
+    epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     best, best_h = 0.0, 0
     for h in range(1, privacy_range + 1):

@@ -255,6 +255,10 @@ class TestMinFeasibleSupport:
             min_feasible_support(Kernel.laplace(0.5), 1.0, 1.2, 3)
         with pytest.raises(SpecError, match="odd"):
             min_feasible_support(Kernel.laplace(0.5), 1.0, 0.5, 3, s_max=10)
+        with pytest.raises(SpecError, match="delta"):
+            min_feasible_support(Kernel.laplace(0.5), 1.0, True, 3)
+        with pytest.raises(SpecError, match="epsilon"):
+            min_feasible_support(Kernel.laplace(0.5), True, True, 3)
 
 
 class TestSweeps:
@@ -289,6 +293,13 @@ class TestSweeps:
             sweep_support(Kernel.laplace(0.5), 1.0, 3, [3, 4])
         with pytest.raises(SpecError, match="odd"):
             sweep_param("laplace", [0.5], 1.0, 2, 6)
+
+    def test_generators_are_read_once(self):
+        expected = sweep_support(Kernel.laplace(0.5), 1.0, 3, [7, 9])
+        assert sweep_support(Kernel.laplace(0.5), 1.0, 3, (s for s in [7, 9])) == expected
+        expected = sweep_param("gaussian", [1.0, 2.0], 1.0, 2, 7)
+        assert sweep_param("gaussian", (p for p in [1.0, 2.0]), 1.0, 2, 7) == expected
+        assert len(expected) == 2
 
     def test_empty_lists_rejected(self):
         with pytest.raises(SpecError, match="at least one"):

@@ -80,6 +80,14 @@ class TestDefect:
         assert code == 2
         assert "odd" in err
 
+    def test_per_h_negative_range_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "defect", "--family", "laplace", "--param", "0.5", "--s", "7", "--eps", "1", "--range", "-1", "--per-h",
+        )
+        assert code == 2 and out == ""
+        assert "privacy range" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["defect", "--family", "laplace", "--bogus", "1"])
@@ -189,6 +197,19 @@ class TestSweep:
         )
         assert code == 2
         assert "--s" in err
+
+    @pytest.mark.parametrize(
+        "varied",
+        [
+            ["--kind", "support", "--param", "0.5", "--s-list", "7"],
+            ["--kind", "param", "--s", "7", "--param-list", "0.5"],
+        ],
+        ids=["support", "param"],
+    )
+    def test_bad_epsilon_at_range_0_exits_2(self, capsys, varied):
+        code, out, err = run(capsys, "sweep", "--family", "laplace", "--eps", "-1", "--range", "0", *varied)
+        assert code == 2 and out == ""
+        assert "epsilon" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"

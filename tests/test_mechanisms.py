@@ -10,12 +10,17 @@ from sparseldp import (
     TruncatedParams,
     UnknownInputError,
     distortion_moments,
+    feasibility_min_support,
+    laplace_clean_bound,
     load_spec,
+    min_feasible_support,
     sample,
     spec_from_dict,
+    sweep_support,
     truncated_pmf,
     truncated_spec,
     window_normalizer,
+    worst_case_defect,
 )
 from conftest import random_spec
 
@@ -29,10 +34,10 @@ class TestKernelValidation:
         with pytest.raises(SpecError):
             Kernel("cauchy", 1.0)
 
-    @pytest.mark.parametrize("param", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", [0.0, -1.0, float("nan"), float("inf"), True, False])
     def test_bad_param(self, param):
         with pytest.raises(SpecError):
-            Kernel.laplace(param)
+            Kernel("laplace", param)
 
     @pytest.mark.parametrize("s", [0, 2, 4, -3])
     def test_even_or_nonpositive_support_size_rejected(self, s):
@@ -44,8 +49,18 @@ class TestKernelValidation:
             TruncatedParams(Kernel.laplace(1.0), 3.0)
 
     def test_negative_range_rejected(self):
-        with pytest.raises(SpecError):
-            TruncatedParams(Kernel.laplace(1.0), 3, privacy_range=-1)
+        # the window family carries no range; each call that takes one checks it
+        kernel = Kernel.laplace(1.0)
+        calls = [
+            lambda: worst_case_defect(kernel, 3, 1.0, -1),
+            lambda: min_feasible_support(kernel, 1.0, 0.5, -1),
+            lambda: sweep_support(kernel, 1.0, -1, [3]),
+            lambda: laplace_clean_bound(1.0, 1.0, 3, -1),
+            lambda: feasibility_min_support(-1),
+        ]
+        for call in calls:
+            with pytest.raises(SpecError, match="privacy range"):
+                call()
 
 
 class TestNormalizer:

@@ -16,8 +16,6 @@ from sparseldp import (
     pure_ldp_bound,
     pure_ldp_epsilon,
     separation_breakdown,
-    separation_defect_gaussian,
-    separation_defect_laplace,
     truncated_spec,
     worst_case_defect,
 )
@@ -240,18 +238,18 @@ class TestSeparationDefect:
         # t=2, h=3: leakage (e^-1 + e^-0.5 + 1)/C_2, every overlap term negative
         c2 = 1.0 + 2.0 * (math.exp(-0.5) + math.exp(-1.0))
         expected = (math.exp(-1.0) + math.exp(-0.5) + 1.0) / c2
-        got = separation_defect_laplace(1.0, 0.5, 2, 3)
+        got = separation_breakdown(Kernel.laplace(0.5), 1.0, 2, 3).total
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(0.66956, abs=1e-5)
 
     def test_zero_separation(self):
-        assert separation_defect_laplace(1.0, 0.5, 4, 0) == 0.0
-        assert separation_defect_gaussian(0.0, 2.0, 4, 0) == 0.0
+        assert separation_breakdown(Kernel.laplace(0.5), 1.0, 4, 0).total == 0.0
+        assert separation_breakdown(Kernel.gaussian(2.0), 0.0, 4, 0).total == 0.0
 
     def test_disjoint_is_exactly_one(self):
-        assert separation_defect_laplace(1.0, 0.5, 1, 3) == 1.0
-        assert separation_defect_gaussian(1.0, 2.0, 1, 3) == 1.0
-        assert separation_defect_gaussian(5.0, 0.7, 0, 1) == 1.0
+        assert separation_breakdown(Kernel.laplace(0.5), 1.0, 1, 3).total == 1.0
+        assert separation_breakdown(Kernel.gaussian(2.0), 1.0, 1, 3).total == 1.0
+        assert separation_breakdown(Kernel.gaussian(0.7), 5.0, 0, 1).total == 1.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("kernel", [Kernel.laplace(0.5), Kernel.gaussian(1.0)])
@@ -271,17 +269,19 @@ class TestSeparationDefect:
     def test_nonincreasing_in_epsilon(self):
         grid = np.linspace(0.0, 3.0, 13)
         for t, h in ((2, 1), (3, 2), (5, 4)):
-            vals = [separation_defect_gaussian(float(e), 1.5, t, h) for e in grid]
+            vals = [separation_breakdown(Kernel.gaussian(1.5), float(e), t, h).total for e in grid]
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-15
 
     def test_input_validation(self):
         with pytest.raises(SpecError):
-            separation_defect_laplace(1.0, 0.5, 2, -1)
+            separation_breakdown(Kernel.laplace(0.5), 1.0, 2, -1)
         with pytest.raises(SpecError):
-            separation_defect_laplace(1.0, 0.5, 2, 1.5)
+            separation_breakdown(Kernel.laplace(0.5), 1.0, 2, 1.5)
         with pytest.raises(SpecError):
-            separation_defect_laplace(-0.1, 0.5, 2, 1)
+            separation_breakdown(Kernel.laplace(0.5), -0.1, 2, 1)
+        with pytest.raises(SpecError):
+            separation_breakdown(Kernel.laplace(0.5), True, 2, 1)
 
 
 class TestWorstCaseDefect:
@@ -316,6 +316,13 @@ class TestWorstCaseDefect:
     def test_even_support_rejected(self):
         with pytest.raises(SpecError):
             worst_case_defect(Kernel.laplace(0.5), 6, 1.0, 2)
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("privacy_range", [0, 3])
+    def test_bad_epsilon_rejected_at_every_range(self, eps, privacy_range):
+        # range 0 runs no separation, so epsilon must be checked up front
+        with pytest.raises(SpecError, match="epsilon"):
+            worst_case_defect(Kernel.laplace(0.5), 7, eps, privacy_range)
 
 
 class TestGaussianOverlapThreshold:
