@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mechanisms import (
     LAPLACE,
     DistortionMoments,
@@ -21,7 +23,7 @@ from .mechanisms import (
     _check_int,
     distortion_moments,
 )
-from .privacy import separation_breakdown, worst_case_defect
+from .privacy import _WindowTable, separation_breakdown, worst_case_defect
 
 
 @dataclass(frozen=True)
@@ -164,13 +166,23 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
     return (s_lo, s_hi)
 
 
-def _default_scan_limit(kernel: Kernel, privacy_range: int) -> int:
-    # generous enough for the leakage tail to fall below any delta >= 1e-12
+def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
+    # the cap covers the leakage tail for moderate delta; where a tail bound
+    # certifies a feasible size, the scan always reaches that size too
     if kernel.family == LAPLACE:
         cap = 2 * privacy_range + 1 + math.ceil(40.0 / kernel.param)
+        if 0 < privacy_range and kernel.param * privacy_range <= epsilon:
+            cap = max(cap, laplace_sufficient_support(epsilon, delta, kernel.param, privacy_range))
     else:
         cap = 2 * privacy_range + 1 + math.ceil(8.0 * kernel.param * kernel.param) + 2 * privacy_range
+        window = gaussian_support_window(epsilon, delta, kernel.param, privacy_range) if privacy_range else None
+        if window is not None:
+            cap = max(cap, window[0])
     return cap if cap % 2 == 1 else cap + 1
+
+
+# grid entries (sizes x separations) evaluated per step of the design scan
+_SCAN_BLOCK = 1024
 
 
 def min_feasible_support(
@@ -185,26 +197,46 @@ def min_feasible_support(
     Sizes below the disjointness threshold are skipped when delta < 1 (their
     defect is exactly 1); for delta = 1 the scan starts at s = 1, which is
     always feasible.  Minimality is certified by the scan order rather than
-    by any assumed monotonicity of the defect in s.
+    by any assumed monotonicity of the defect in s.  The default scan limit
+    reaches every size that a tail bound (`laplace_sufficient_support`, the
+    low end of `gaussian_support_window`) certifies.
+
+    Blocks of sizes x separations are evaluated at once from one window
+    prefix table, which grows by doubling up to the scan limit.  A size whose
+    value clears delta only within the table's rounding bound is confirmed
+    with `worst_case_defect`, so the chosen size is the first one that
+    `worst_case_defect` finds feasible, and `achieved_delta_star` is its value.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     if s_max is None:
-        s_max = _default_scan_limit(kernel, privacy_range)
+        s_max = _default_scan_limit(kernel, epsilon, delta, privacy_range)
     else:
         s_max = _check_int("scan limit", s_max, 1)
         if s_max % 2 == 0:
             raise SpecError(f"scan limit must be odd, got {s_max}")
     start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
-    scanned = 0
-    for s in range(start, s_max + 1, 2):
-        scanned = s
+    hs = np.arange(1, privacy_range + 1)
+    rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
+    table = _WindowTable(kernel, 0)
+    s = start
+    while s <= s_max:
+        sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
+        t = sizes[:, None] // 2
+        if table.t_max < t[-1, 0]:
+            table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max), s_max // 2))
+        leakage, excess, bound = table.breakdown(t, hs, epsilon, error_bound=True)
+        surely_above = (leakage + excess).max(axis=1, initial=0.0) - bound.max(axis=1, initial=0.0) > delta
+        if surely_above.all():
+            s = int(sizes[-1]) + 2
+            continue
+        s = int(sizes[np.argmin(surely_above)])
         delta_star, _ = worst_case_defect(kernel, s, epsilon, privacy_range)
         if delta_star <= delta:
-            moments = distortion_moments(TruncatedParams(kernel, s))
-            return DesignResult(True, s, delta_star, moments, scanned)
-    return DesignResult(False, None, None, None, scanned)
+            return DesignResult(True, s, delta_star, distortion_moments(TruncatedParams(kernel, s)), s)
+        s += 2
+    return DesignResult(False, None, None, None, s_max if start <= s_max else 0)
 
 
 def _sweep(points, epsilon: float, privacy_range: int, empty_message: str) -> list[SweepRow]:
@@ -228,5 +260,5 @@ def sweep_support(kernel: Kernel, epsilon: float, privacy_range: int, s_list) ->
 
 def sweep_param(family: str, param_list, epsilon: float, privacy_range: int, s: int) -> list[SweepRow]:
     """One row per kernel parameter value at a fixed support size."""
-    points = ((p, Kernel(family, float(p)), s) for p in param_list)
+    points = ((p, Kernel(family, p), s) for p in param_list)
     return _sweep(points, epsilon, privacy_range, "parameter sweep needs at least one value")

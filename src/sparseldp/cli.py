@@ -16,8 +16,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .calibration import min_feasible_support, sweep_param, sweep_support
-from .mechanisms import Kernel, SpecError, TruncatedParams, _check_int, load_spec, sample
-from .privacy import pure_ldp_epsilon, separation_breakdown, worst_case_defect
+from .mechanisms import Kernel, SpecError, TruncatedParams, _check_epsilon, _check_int, load_spec, sample
+from .privacy import _WindowTable, pure_ldp_epsilon, worst_case_defect
 
 FORMATS = ("csv", "json", "table")
 
@@ -76,10 +76,9 @@ def cmd_defect(args) -> tuple[str, int]:
     kernel = Kernel(args.family, args.param)
     if args.per_h:
         t = TruncatedParams(kernel, args.s).t
-        rows = []
-        for h in range(_check_int("privacy range", args.range, 0) + 1):
-            b = separation_breakdown(kernel, args.eps, t, h)
-            rows.append([h, b.total, b.support_leakage, b.overlap_excess])
+        hs = range(_check_int("privacy range", args.range, 0) + 1)
+        leakage, excess = _WindowTable(kernel, t).breakdown(t, np.array(hs), _check_epsilon(args.eps))
+        rows = [[h, lk + ex, lk, ex] for h, lk, ex in zip(hs, leakage.tolist(), excess.tolist())]
         text = _render(["h", "delta_h", "leakage", "overlap"], rows, args.format)
     else:
         delta_star, argmax_h = worst_case_defect(kernel, args.s, args.eps, args.range)

@@ -46,14 +46,15 @@ class Kernel:
             isinstance(self.param, (int, float)) and math.isfinite(self.param) and self.param > 0
         ):
             raise SpecError(f"kernel parameter must be a positive finite number, got {self.param!r}")
+        object.__setattr__(self, "param", float(self.param))
 
     @classmethod
     def laplace(cls, lam: float) -> "Kernel":
-        return cls(LAPLACE, float(lam))
+        return cls(LAPLACE, lam)
 
     @classmethod
     def gaussian(cls, sigma: float) -> "Kernel":
-        return cls(GAUSSIAN, float(sigma))
+        return cls(GAUSSIAN, sigma)
 
     def log_weight(self, distance):
         """Log kernel weight at nonnegative distance(s); accepts scalars or arrays."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mechanisms import (
+    LAPLACE,
     Kernel,
     MechanismSpec,
     SpecError,
@@ -165,43 +166,146 @@ def exhaustive_event_defect(p, q, epsilon: float) -> float:
     return float(np.max(masks @ gap))
 
 
+# a log-ratio must beat epsilon after shrinking by 8 roundings to count as positive
+_UNTIED = 1.0 - 2.0**-50
+
+
+class _WindowTable:
+    """Prefix masses of every window of radius <= t_max for one kernel.
+
+    `weights[j]` is the kernel weight W(j) at distance j = 0..t_max, the same
+    floats `window_weights` gives.  `prefix[i]` is the mass of the i
+    outermost offsets -t_max..-t_max+i-1, summed from the tail inwards, so
+    the first m entries of the radius-t window weigh
+    G_t(m) = prefix[t_max-t+m] - prefix[t_max-t] and its normalizer is
+    C_t = G_t(2t+1).  Leakage and overlap excess at any (t, h) are then a
+    few lookups, following the paper's split of the two-sum closed form.
+    """
+
+    def __init__(self, kernel: Kernel, t_max: int):
+        self.kernel = kernel
+        self.t_max = t_max
+        self.weights = np.exp(kernel.log_weight(np.arange(t_max + 1, dtype=float)))
+        ring = np.concatenate(([0.0], self.weights[:0:-1], self.weights))
+        prefix = np.cumsum(ring)
+        # each addition's rounding error, recovered exactly (TwoSum), is added
+        # back, so every prefix is within about one rounding of its exact sum
+        prev = np.concatenate(([0.0], prefix[:-1]))
+        added = prefix - prev
+        self.prefix = prefix + np.cumsum((prev - (prefix - added)) + (ring - added))
+
+    def positive_terms(self, t, h, epsilon: float):
+        """K(h): the number of leading overlap terms w[h+k] - e^eps w[k] that are positive.
+
+        Term k compares distances |h+k-t| and |k-t|.  With j = 2t - h - 2k its
+        log-ratio is lam * min(h, j) (Laplace) or h * j / (2 sigma^2)
+        (Gaussian): an exact integer times one float, so the comparison with
+        epsilon is monotone in k and the positive terms are a prefix.  A
+        log-ratio within 8 roundings of itself above epsilon, such as
+        0.05 * 6 against 0.3, is a tie: its term is zero to the precision of
+        the float weights, and counting it would only add rounding dust.  The
+        comparison is never looser than the clean-regime tests of
+        `calibration`, so there K is exactly 0.
+        """
+        t, h = np.asarray(t), np.asarray(h)
+        param = self.kernel.param
+        if self.kernel.family == LAPLACE:
+            n = _least_integer_above(lambda n: param * n * _UNTIED, epsilon, epsilon / param, self.t_max + 1)
+            j_min = np.where(h >= n, n, 2 * t + 1)
+        else:
+            two_var = 2.0 * param * param
+            m = _least_integer_above(lambda m: m / two_var * _UNTIED, epsilon, epsilon * two_var, self.t_max**2 + 1)
+            j_min = np.where(h > 0, -(-m // np.maximum(h, 1)), 2 * t + 1)
+        return np.maximum((2 * t - h - j_min) // 2 + 1, 0)
+
+    def breakdown(self, t, h, epsilon: float, error_bound: bool = False):
+        """Leakage and overlap excess of radius-t windows h apart, broadcast over arrays.
+
+        Leakage is G_t(h) / C_t; the excess is
+        (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, exactly 0 when K = 0.
+        Separations beyond 2t give exactly (1, 0).  With `error_bound`, a
+        third array bounds how far each total can be from the same quantity
+        evaluated on any other table of this kernel, a radius-t one included.
+        """
+        t, h = np.asarray(t), np.asarray(h)
+        disjoint = h > 2 * t
+        h = np.minimum(h, 2 * t)
+        p = self.prefix
+        a = self.t_max - t
+        c = p[a + 2 * t + 1] - p[a]
+        leakage = (p[a + h] - p[a]) / c
+        k = self.positive_terms(t, h, epsilon)
+        with np.errstate(over="ignore", divide="ignore"):
+            # past exp's range only weights below e^-eps can enter the tail sum
+            e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
+            tail = p[a + k] - p[a]
+            shifted = tail * e_eps if epsilon < 709.0 else np.exp(epsilon + np.log(tail))
+        excess = np.where(k > 0, np.maximum(p[a + h + k] - p[a + h] - shifted, 0.0) / c, 0.0)
+        leakage = np.where(disjoint, 1.0, leakage)
+        excess = np.where(disjoint, 0.0, excess)
+        if not error_bound:
+            return leakage, excess
+        # Every prefix is within u (1 + n u) of its exact sum, n = len(prefix),
+        # so each difference errs by at most that much of both its ends;
+        # doubling covers the same quantity on any other table.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = p[a + h] + p[a] + (leakage + excess) * (p[a + 2 * t + 1] + p[a])
+            ends += np.where(k > 0, p[a + h + k] + p[a + h] + e_eps * (p[a + k] + p[a]), 0.0)
+            bound = 4.0 * 2.0**-53 * (1.0 + p.size * 2.0**-53) * ends / c
+        return leakage, excess, np.where(disjoint, 0.0, bound)
+
+
+def _least_integer_above(ratio, epsilon: float, guess: float, cap: int) -> int:
+    """Smallest integer n >= 1 with ratio(n) > epsilon, or `cap` if none is below it.
+
+    `ratio` is nondecreasing and `guess` is epsilon solved in real numbers,
+    so the answer is within a step or two of it.
+    """
+    if not guess < cap:
+        return cap
+    n = max(1, math.floor(guess))
+    while n > 1 and ratio(n - 1) > epsilon:
+        n -= 1
+    while not ratio(n) > epsilon:
+        n += 1
+    return n
+
+
 def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation: int) -> DefectBreakdown:
     """Defect between window-family inputs `separation` apart, split by mode.
 
     Separations beyond twice the radius make the windows disjoint and leak
-    everything, returning exactly (1, 0).  Otherwise the leakage is the low
-    tail of the window and the excess terms are evaluated in log domain so a
-    mathematically zero term cannot round up to a positive one.
+    everything, returning exactly (1, 0).  Otherwise the leakage is the
+    window's low tail G_t(h) / C_t and the overlap excess is the sum of the
+    K(h) positive terms, (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, read from
+    the prefix sums of one radius-t table.  K(h) comes from an exact integer
+    comparison, so the excess is exactly 0 whenever no term is positive.
+    Gives the same floats as `worst_case_defect` at every separation.
     """
     epsilon = _check_epsilon(epsilon)
     t = _check_int("radius", radius, 0)
     h = _check_int("separation", separation, 0)
-    if h > 2 * t:
-        return DefectBreakdown(1.0, 0.0)
-    log_w = kernel.log_weight(np.abs(np.arange(-t, t + 1)).astype(float))
-    w = np.exp(log_w)
-    c = float(w.sum())
-    leakage = float(w[:h].sum()) / c
-    shifted = np.exp(epsilon + log_w[: 2 * t + 1 - h])
-    excess = float(np.sum(np.maximum(w[h:] - shifted, 0.0))) / c
-    return DefectBreakdown(leakage, excess)
+    leakage, excess = _WindowTable(kernel, t).breakdown(t, h, epsilon)
+    return DefectBreakdown(float(leakage), float(excess))
 
 
 def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int]:
     """Max separation defect over separations 0..privacy_range, with argmax.
 
-    Full scan (no monotonicity in the separation is assumed); separation 0
-    contributes 0 and ties break toward the smallest separation.
+    Every separation is evaluated at once from one radius-t prefix table
+    (no monotonicity in the separation is assumed); separation 0
+    contributes 0, ties break toward the smallest separation, and the
+    values are those of `separation_breakdown`.  Separations past 2t + 1
+    repeat its exact total of 1, so they are not evaluated.
     """
     params = TruncatedParams(kernel, s)
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
-    best, best_h = 0.0, 0
-    for h in range(1, privacy_range + 1):
-        value = separation_breakdown(kernel, epsilon, params.t, h).total
-        if value > best:
-            best, best_h = value, h
-    return best, best_h
+    t = params.t
+    leakage, excess = _WindowTable(kernel, t).breakdown(t, np.arange(1, min(privacy_range, 2 * t + 1) + 1), epsilon)
+    total = leakage + excess
+    best = float(total.max(initial=0.0))
+    return (best, int(np.argmax(total)) + 1) if best > 0.0 else (0.0, 0)
 
 
 def gaussian_overlap_threshold(separation: int, sigma: float, epsilon: float) -> float:
@@ -212,4 +316,6 @@ def gaussian_overlap_threshold(separation: int, sigma: float, epsilon: float) ->
     is exactly zero is classified as non-positive.
     """
     h = _check_int("separation", separation, 1)
+    sigma = Kernel.gaussian(sigma).param
+    epsilon = _check_epsilon(epsilon)
     return h / 2.0 - (sigma * sigma * epsilon) / h

@@ -43,3 +43,43 @@ def random_common_support_spec(rng, max_outputs=10):
     common = sorted(int(v) for v in rng.choice(outputs, size=k, replace=False))
     supports = {x: common for x in inputs}
     return MechanismSpec(random_kernel(rng), tuple(inputs), tuple(outputs), supports)
+
+
+def direct_breakdown(kernel, epsilon, radius, separation):
+    """Window defect split (leakage, excess) by the direct per-separation formula.
+
+    Builds the radius-t window from scratch and sums every overlap term in
+    log domain; the library's prefix-sum engine must agree with it.
+    """
+    t, h = radius, separation
+    if h > 2 * t:
+        return 1.0, 0.0
+    log_w = kernel.log_weight(np.abs(np.arange(-t, t + 1)).astype(float))
+    w = np.exp(log_w)
+    c = float(w.sum())
+    leakage = float(w[:h].sum()) / c
+    with np.errstate(over="ignore"):
+        shifted = np.exp(epsilon + log_w[: 2 * t + 1 - h])
+    excess = float(np.sum(np.maximum(w[h:] - shifted, 0.0))) / c
+    return leakage, excess
+
+
+def direct_worst_case(kernel, s, epsilon, privacy_range):
+    """(max total, first argmax) over separations 1..range, one window per separation."""
+    best, best_h = 0.0, 0
+    for h in range(1, privacy_range + 1):
+        leakage, excess = direct_breakdown(kernel, epsilon, (s - 1) // 2, h)
+        if leakage + excess > best:
+            best, best_h = leakage + excess, h
+    return best, best_h
+
+
+def direct_design(kernel, epsilon, delta, privacy_range, s_max):
+    """(first odd size meeting delta or None, last size scanned), scanning one size at a time."""
+    start = 1 if delta >= 1.0 else privacy_range + 1 + privacy_range % 2
+    scanned = 0
+    for s in range(start, s_max + 1, 2):
+        scanned = s
+        if direct_worst_case(kernel, s, epsilon, privacy_range)[0] <= delta:
+            return s, scanned
+    return None, scanned

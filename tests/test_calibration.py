@@ -248,6 +248,29 @@ class TestMinFeasibleSupport:
                 assert m.r1 >= chosen.r1 - 1e-15
                 assert m.r2 >= chosen.r2 - 1e-15
 
+    @pytest.mark.parametrize("delta, chosen", [(1e-10, 95), (1e-12, 113)])
+    def test_default_limit_reaches_the_laplace_certificate(self, delta, chosen):
+        # lam * range <= eps: the tail bound certifies a size past the old cap of 87
+        kernel, eps, H = Kernel.laplace(0.5), 2.0, 3
+        res = min_feasible_support(kernel, eps, delta, H)
+        assert res.feasible and res.s_chosen == chosen <= laplace_sufficient_support(eps, delta, 0.5, H)
+        assert res.achieved_delta_star == worst_case_defect(kernel, res.s_chosen, eps, H)[0] <= delta
+        assert worst_case_defect(kernel, res.s_chosen - 2, eps, H)[0] > delta
+
+    def test_default_limit_reaches_the_gaussian_window(self):
+        # sigma=1, eps=8, range 1, delta=1e-12: the certified window starts at 17,
+        # past the old cap of 13
+        kernel = Kernel.gaussian(1.0)
+        s_lo, _ = gaussian_support_window(8.0, 1e-12, 1.0, 1)
+        res = min_feasible_support(kernel, 8.0, 1e-12, 1)
+        assert res.feasible and res.s_chosen == s_lo == 17
+        assert res.achieved_delta_star == worst_case_defect(kernel, res.s_chosen, 8.0, 1)[0] <= 1e-12
+
+    def test_uncertified_target_keeps_the_cap(self):
+        # lam * range > eps: no certificate, so the scan still stops at 2R + 1 + 40/lam
+        res = min_feasible_support(Kernel.laplace(0.5), 1.0, 0.1, 3)
+        assert not res.feasible and res.s_scanned_max == 87
+
     def test_invalid_arguments(self):
         with pytest.raises(SpecError, match="delta"):
             min_feasible_support(Kernel.laplace(0.5), 1.0, 0.0, 3)
@@ -300,6 +323,12 @@ class TestSweeps:
         expected = sweep_param("gaussian", [1.0, 2.0], 1.0, 2, 7)
         assert sweep_param("gaussian", (p for p in [1.0, 2.0]), 1.0, 2, 7) == expected
         assert len(expected) == 2
+
+    def test_bool_parameter_rejected(self):
+        with pytest.raises(SpecError, match="kernel parameter"):
+            sweep_param("laplace", [True], 1.0, 2, 7)
+        with pytest.raises(SpecError, match="kernel parameter"):
+            sweep_param("gaussian", [2.0, False], 1.0, 2, 7)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(SpecError, match="at least one"):

@@ -38,6 +38,14 @@ class TestKernelValidation:
     def test_bad_param(self, param):
         with pytest.raises(SpecError):
             Kernel("laplace", param)
+        with pytest.raises(SpecError):
+            Kernel.laplace(param)
+        with pytest.raises(SpecError):
+            Kernel.gaussian(param)
+
+    def test_integer_param_is_stored_as_float(self):
+        assert Kernel.laplace(1).param == 1.0 and isinstance(Kernel.laplace(1).param, float)
+        assert Kernel("gaussian", 2) == Kernel.gaussian(2.0)
 
     @pytest.mark.parametrize("s", [0, 2, 4, -3])
     def test_even_or_nonpositive_support_size_rejected(self, s):

@@ -20,6 +20,7 @@ from sparseldp import (
     worst_case_defect,
 )
 from conftest import random_common_support_spec, random_spec
+from sparseldp.privacy import _WindowTable
 
 
 def window_pair(kernel, t, h):
@@ -336,6 +337,13 @@ class TestGaussianOverlapThreshold:
         with pytest.raises(SpecError):
             gaussian_overlap_threshold(0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("sigma, eps", [(1.0, -1.0), (-3.0, float("nan")), (1.0, float("nan")),
+                                            (1.0, float("inf")), (0.0, 1.0), (float("nan"), 1.0), (True, 1.0),
+                                            (1.0, True)])
+    def test_bad_sigma_or_epsilon_rejected(self, sigma, eps):
+        with pytest.raises(SpecError):
+            gaussian_overlap_threshold(2, sigma, eps)
+
     def test_classifies_positive_overlap_terms(self):
         sigma, eps, h, t = 2.0, 1.0, 3, 3
         kappa = gaussian_overlap_threshold(h, sigma, eps)
@@ -343,6 +351,18 @@ class TestGaussianOverlapThreshold:
         for k in range(h - t, t + 1):
             term = kernel.weight(abs(k)) - math.exp(eps) * kernel.weight(abs(k - h))
             assert (term > 0) == (k < kappa)
+
+    def test_engine_counts_the_offsets_below_the_threshold(self):
+        # K(h), the engine's count of positive overlap terms, is the number of
+        # overlap offsets h-t..t below kappa
+        for sigma in (1.0, 2.0):
+            for t in (2, 3, 4):
+                table = _WindowTable(Kernel.gaussian(sigma), t)
+                for h in range(1, 2 * t + 1):
+                    for eps in (0.25, 1.0, 2.5):
+                        kappa = gaussian_overlap_threshold(h, sigma, eps)
+                        below = sum(1 for k in range(h - t, t + 1) if k < kappa)
+                        assert table.positive_terms(t, h, eps) == below
 
     def test_threshold_consistent_with_breakdown(self):
         # whenever every overlap index sits at or above the threshold, the excess is zero
