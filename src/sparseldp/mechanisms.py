@@ -47,6 +47,9 @@ class Kernel:
         ):
             raise SpecError(f"kernel parameter must be a positive finite number, got {self.param!r}")
         object.__setattr__(self, "param", float(self.param))
+        if self.family == GAUSSIAN and 2.0 * self.param * self.param == 0.0:
+            # log weights divide by 2 sigma^2, which must not underflow to zero
+            raise SpecError(f"gaussian sigma {self.param!r} is too small: 2 sigma^2 underflows to 0")
 
     @classmethod
     def laplace(cls, lam: float) -> "Kernel":

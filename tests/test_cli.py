@@ -80,6 +80,13 @@ class TestDefect:
         assert code == 2
         assert "odd" in err
 
+    def test_underflowing_sigma_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "defect", "--family", "gaussian", "--param", "1e-200", "--s", "7", "--eps", "1", "--range", "3"
+        )
+        assert code == 2 and out == ""
+        assert "underflows" in err
+
     def test_per_h_negative_range_exits_2(self, capsys):
         code, out, err = run(
             capsys,

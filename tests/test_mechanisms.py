@@ -43,6 +43,12 @@ class TestKernelValidation:
         with pytest.raises(SpecError):
             Kernel.gaussian(param)
 
+    def test_sigma_whose_square_underflows_rejected(self):
+        with pytest.raises(SpecError, match="underflows"):
+            Kernel.gaussian(1e-200)
+        assert Kernel.gaussian(1e-150).param == 1e-150
+        assert Kernel.laplace(1e-200).param == 1e-200
+
     def test_integer_param_is_stored_as_float(self):
         assert Kernel.laplace(1).param == 1.0 and isinstance(Kernel.laplace(1).param, float)
         assert Kernel("gaussian", 2) == Kernel.gaussian(2.0)
