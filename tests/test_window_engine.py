@@ -97,6 +97,12 @@ class TestAgainstDirectFormula:
             for h in range(2 * t + 2):
                 assert_agrees(kernel, tie[1], t, h)
 
+    @pytest.mark.parametrize("lam, eps", [(800.0, 720.0), (800.0, 740.0), (400.0, 730.0), (1.0, 1e308)])
+    def test_epsilon_past_the_range_of_exp(self, lam, eps):
+        # e^eps overflows; the shifted tail is then formed in log domain
+        for t, h in ((2, 1), (3, 1), (3, 2), (5, 3)):
+            assert_agrees(Kernel.laplace(lam), eps, t, h)
+
     def test_roadmap_trap_case_is_exactly_zero(self):
         # 0.05 * 6 rounds above 0.3; the term is a tie, not an excess
         assert direct_breakdown(Kernel.laplace(0.05), 0.3, 8, 10)[1] == 0.0
