@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -43,7 +44,7 @@ class Kernel:
         if self.family not in (LAPLACE, GAUSSIAN):
             raise SpecError(f"kernel family must be {LAPLACE!r} or {GAUSSIAN!r}, got {self.family!r}")
         if isinstance(self.param, bool) or not (
-            isinstance(self.param, (int, float)) and math.isfinite(self.param) and self.param > 0
+            isinstance(self.param, numbers.Real) and math.isfinite(self.param) and self.param > 0
         ):
             raise SpecError(f"kernel parameter must be a positive finite number, got {self.param!r}")
         object.__setattr__(self, "param", float(self.param))

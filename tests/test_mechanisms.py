@@ -52,6 +52,11 @@ class TestKernelValidation:
     def test_integer_param_is_stored_as_float(self):
         assert Kernel.laplace(1).param == 1.0 and isinstance(Kernel.laplace(1).param, float)
         assert Kernel("gaussian", 2) == Kernel.gaussian(2.0)
+        # numpy scalars are numbers too; numpy bools are not
+        assert Kernel.laplace(np.float32(0.5)) == Kernel.laplace(0.5)
+        assert type(Kernel("gaussian", np.int64(3)).param) is float
+        with pytest.raises(SpecError):
+            Kernel.laplace(np.bool_(True))
 
     @pytest.mark.parametrize("s", [0, 2, 4, -3])
     def test_even_or_nonpositive_support_size_rejected(self, s):
