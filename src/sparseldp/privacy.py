@@ -235,11 +235,14 @@ class _WindowTable:
         c = p[a + 2 * t + 1] - p[a]
         leakage = (p[a + h] - p[a]) / c
         k = self.positive_terms(t, h, epsilon)
-        with np.errstate(over="ignore", divide="ignore"):
-            # past exp's range only weights below e^-eps can enter the tail sum
-            e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
-            tail = p[a + k] - p[a]
-            shifted = tail * e_eps if epsilon < 709.0 else np.exp(epsilon + np.log(tail))
+        tail = p[a + k] - p[a]
+        if epsilon < 709.0:
+            e_eps = math.exp(epsilon)
+            shifted = tail * e_eps
+        else:  # e^eps overflows; only weights below e^-eps can enter the tail sum
+            e_eps = math.inf
+            with np.errstate(divide="ignore"):
+                shifted = np.exp(epsilon + np.log(tail))
         excess = np.where(k > 0, np.maximum(p[a + h + k] - p[a + h] - shifted, 0.0) / c, 0.0)
         leakage = np.where(disjoint, 1.0, leakage)
         excess = np.where(disjoint, 0.0, excess)
