@@ -113,10 +113,10 @@ class MechanismSpec:
             raise SpecError("outputs must be nonempty")
         if len(set(self.inputs)) != len(self.inputs):
             raise SpecError("inputs contain duplicates")
-        if len(set(self.outputs)) != len(self.outputs):
+        index = {y: j for j, y in enumerate(self.outputs)}
+        if len(index) != len(self.outputs):
             raise SpecError("outputs contain duplicates")
-        out_set = set(self.outputs)
-        supports = {}
+        supports, columns = {}, {}
         for x, sup in dict(self.supports).items():
             x = _check_int("support key", x)
             if x not in self.inputs:
@@ -124,10 +124,10 @@ class MechanismSpec:
             sup = tuple(sorted({_check_int("support element", y) for y in sup}))
             if not sup:
                 raise SpecError(f"support of input {x} is empty")
-            bad = [y for y in sup if y not in out_set]
-            if bad:
-                raise SpecError(f"support of input {x} contains {bad[0]} which is not an output")
-            supports[x] = sup
+            cols = [index.get(y) for y in sup]
+            if None in cols:
+                raise SpecError(f"support of input {x} contains {sup[cols.index(None)]} which is not an output")
+            supports[x], columns[x] = sup, cols
         missing = [x for x in self.inputs if x not in supports]
         if missing:
             raise SpecError(f"input {missing[0]} has no support set")
@@ -143,9 +143,20 @@ class MechanismSpec:
                     if not (math.isfinite(v) and v >= 0):
                         raise SpecError(f"distance[{i}][{j}] must be finite and >= 0, got {v}")
             for i, x in enumerate(self.inputs):
-                if x in out_set and rows[i][self.outputs.index(x)] != 0.0:
+                if x in index and rows[i][index[x]] != 0.0:
                     raise SpecError(f"distance from input {x} to itself must be 0")
             object.__setattr__(self, "distance", rows)
+        log_weights = {}
+        for i, x in enumerate(self.inputs):
+            if self.distance is None:
+                d = np.abs(np.array(supports[x], dtype=object) - x).astype(float)
+            else:
+                d = np.array(self.distance[i])[columns[x]]
+            log_weights[x] = self.kernel.log_weight(d)
+            if not np.isfinite(log_weights[x]).all():
+                raise SpecError(f"kernel weights of input {x} are beyond float range: a distance is too large")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_log_weights", log_weights)
 
     def support(self, x: int) -> tuple[int, ...]:
         """Admissible outputs for input x, ascending."""
@@ -158,40 +169,28 @@ class MechanismSpec:
         if self.distance is None:
             return float(abs(x - y))
         try:
-            i = self.inputs.index(x)
+            return self.distance[self.inputs.index(x)][self._index[y]]
         except ValueError:
             raise UnknownInputError(f"input {x} is not declared by this channel") from None
-        try:
-            j = self.outputs.index(y)
-        except ValueError:
+        except KeyError:
             raise SpecError(f"output {y} is not declared by this channel") from None
-        return self.distance[i][j]
-
-    def _support_weights(self, x: int) -> np.ndarray:
-        sup = self.support(x)
-        d = np.array([self.dist(x, y) for y in sup], dtype=float)
-        return np.exp(self.kernel.log_weight(d))
 
     def normalizer(self, x: int) -> float:
         """Sum of kernel weights over S(x); at least 1 when x is in its own support."""
-        return float(self._support_weights(x).sum())
+        self.support(x)
+        return float(np.exp(self._log_weights[x]).sum())
 
     def pmf(self, x: int) -> dict[int, float]:
         """Output distribution for input x; keys are exactly S(x)."""
         sup = self.support(x)
-        w = self._support_weights(x)
-        z = float(w.sum())
-        if z == 0.0:
-            raise SpecError(f"kernel weights underflow to zero on the support of input {x}")
-        return {y: float(wi / z) for y, wi in zip(sup, w)}
+        w = np.exp(self._log_weights[x] - self._log_weights[x].max())
+        return dict(zip(sup, (w / w.sum()).tolist()))
 
     def pmf_vector(self, x: int) -> np.ndarray:
         """Masses aligned with `outputs`, zero off the support."""
         p = np.zeros(len(self.outputs))
-        masses = self.pmf(x)
-        for j, y in enumerate(self.outputs):
-            if y in masses:
-                p[j] = masses[y]
+        for y, mass in self.pmf(x).items():
+            p[self._index[y]] = mass
         return p
 
 
@@ -309,9 +308,7 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
     kernel_doc = doc.get("kernel")
     if not isinstance(kernel_doc, Mapping) or "family" not in kernel_doc or "param" not in kernel_doc:
         raise SpecError('spec needs "kernel": {"family": ..., "param": ...}')
-    if not isinstance(kernel_doc["param"], (int, float)) or isinstance(kernel_doc["param"], bool):
-        raise SpecError("kernel.param must be a number")
-    kernel = Kernel(kernel_doc["family"], float(kernel_doc["param"]))
+    kernel = Kernel(kernel_doc["family"], kernel_doc["param"])
 
     for key in ("inputs", "outputs"):
         if not isinstance(doc.get(key), list):

@@ -53,16 +53,20 @@ class PureLdpResult:
     witness: tuple[int, int, int] | None
 
 
+def _log_normalizer(row: np.ndarray) -> float:
+    """log sum exp(row), shifted by the row's max so it is finite however small the weights."""
+    m = float(row.max())
+    return m + math.log(float(np.exp(row - m).sum()))
+
+
 def pointwise_loss(spec: MechanismSpec, x: int, x_prime: int, y: int) -> float:
     """Log-likelihood ratio log Q(y|x) / Q(y|x_prime) on the support overlap."""
-    if y not in spec.support(x) or y not in spec.support(x_prime):
+    sup, sup_prime = spec.support(x), spec.support(x_prime)
+    if y not in sup or y not in sup_prime:
         raise SpecError(f"output {y} is outside the support overlap of inputs {x} and {x_prime}")
-    lw = spec.kernel.log_weight
-    return (
-        lw(spec.dist(x, y))
-        - lw(spec.dist(x_prime, y))
-        + math.log(spec.normalizer(x_prime) / spec.normalizer(x))
-    )
+    lw, lw_prime = spec._log_weights[x], spec._log_weights[x_prime]
+    gap = float(lw[sup.index(y)] - lw_prime[sup_prime.index(y)])
+    return gap + _log_normalizer(lw_prime) - _log_normalizer(lw)
 
 
 def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
@@ -73,27 +77,23 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
     coincide; it is then the max pointwise loss over ordered pairs and
     shared outputs.
     """
-    for x in spec.inputs:
-        sup_x = spec.support(x)
-        for x_prime in spec.inputs:
-            if x == x_prime:
-                continue
-            sup_xp = set(spec.support(x_prime))
-            for y in sup_x:
-                if y not in sup_xp:
-                    return PureLdpResult(False, None, (x, x_prime, y))
-    log_z = {x: math.log(spec.normalizer(x)) for x in spec.inputs}
-    lw = spec.kernel.log_weight
+    inputs = spec.inputs
+    common = spec.support(inputs[0])
+    if any(spec.support(x) != common for x in inputs):
+        for x in inputs:
+            for x_prime in inputs:
+                missing = set(spec.support(x)) - set(spec.support(x_prime))
+                if missing:
+                    return PureLdpResult(False, None, (x, x_prime, min(missing)))
+    lw = np.array([spec._log_weights[x] for x in inputs])
+    log_z = np.array([_log_normalizer(row) for row in lw])
     best = 0.0
     witness = None
-    for x in spec.inputs:
-        for x_prime in spec.inputs:
-            if x == x_prime:
-                continue
-            for y in spec.support(x):
-                loss = lw(spec.dist(x, y)) - lw(spec.dist(x_prime, y)) + log_z[x_prime] - log_z[x]
-                if loss > best:
-                    best, witness = loss, (x, x_prime, y)
+    for i, x in enumerate(inputs):
+        loss = (lw[i] - lw) + log_z[:, None] - log_z[i]  # row x_prime, column y
+        j = int(np.argmax(loss))
+        if loss.flat[j] > best:
+            best, witness = float(loss.flat[j]), (x, inputs[j // len(common)], common[j % len(common)])
     return PureLdpResult(True, best, witness)
 
 
