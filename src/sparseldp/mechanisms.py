@@ -94,8 +94,10 @@ class MechanismSpec:
 
     `distance` is None for |x - y| on the integers, or a matrix of
     nonnegative reals indexed by (input position, output position) with
-    zero diagonal wherever an input also appears as an output.  Instances
-    are immutable after validation and safe to share across threads.
+    zero diagonal wherever an input also appears as an output.  Validation
+    also builds each input's log kernel weights over S(x), in support order,
+    once; `normalizer`, `pmf` and the pure-level computations all read them.
+    Instances are immutable after validation and safe to share across threads.
     """
 
     kernel: Kernel
@@ -133,15 +135,16 @@ class MechanismSpec:
             raise SpecError(f"input {missing[0]} has no support set")
         object.__setattr__(self, "supports", supports)
         if self.distance is not None:
-            rows = tuple(tuple(float(v) for v in row) for row in self.distance)
+            rows = tuple(tuple(row) for row in self.distance)
             if len(rows) != len(self.inputs) or any(len(r) != len(self.outputs) for r in rows):
                 raise SpecError(
                     f"distance matrix must be {len(self.inputs)} x {len(self.outputs)} (inputs x outputs)"
                 )
             for i, row in enumerate(rows):
                 for j, v in enumerate(row):
-                    if not (math.isfinite(v) and v >= 0):
-                        raise SpecError(f"distance[{i}][{j}] must be finite and >= 0, got {v}")
+                    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0):
+                        raise SpecError(f"distance[{i}][{j}] must be a finite number >= 0, got {v!r}")
+            rows = tuple(tuple(float(v) for v in row) for row in rows)
             for i, x in enumerate(self.inputs):
                 if x in index and rows[i][index[x]] != 0.0:
                     raise SpecError(f"distance from input {x} to itself must be 0")
@@ -181,7 +184,12 @@ class MechanismSpec:
         return float(np.exp(self._log_weights[x]).sum())
 
     def pmf(self, x: int) -> dict[int, float]:
-        """Output distribution for input x; keys are exactly S(x)."""
+        """Output distribution for input x; keys are exactly S(x).
+
+        The weights are exp(lw - max lw): the largest is exactly 1, so the sum
+        cannot underflow however far S(x) lies from x.  When x is in S(x) the
+        shift is 0 and the masses are exactly exp(lw) / sum.
+        """
         sup = self.support(x)
         w = np.exp(self._log_weights[x] - self._log_weights[x].max())
         return dict(zip(sup, (w / w.sum()).tolist()))
@@ -324,7 +332,9 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
         try:
             x = int(key)
         except (TypeError, ValueError):
-            raise SpecError(f"supports key {key!r} is not an integer") from None
+            x = None
+        if x is None or str(x) != key:  # "01", " 1" and "+1" would collide with "1"
+            raise SpecError(f"supports key {key!r} is not an integer written in canonical form")
         if not isinstance(sup, list):
             raise SpecError(f"support of input {x} must be a list of integers")
         for v in sup:
@@ -343,7 +353,7 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
             values = dist_doc.get("values")
             if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
                 raise SpecError("distance matrix needs numeric values as a list of rows")
-            distance = tuple(tuple(float(v) for v in row) for row in values)
+            distance = values
         else:
             raise SpecError(f"distance type must be \"abs\" or \"matrix\", got {dist_doc['type']!r}")
 

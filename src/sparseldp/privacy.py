@@ -75,7 +75,9 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
     Any output possible under x but impossible under x_prime makes the
     likelihood ratio infinite, so the level is finite iff all supports
     coincide; it is then the max pointwise loss over ordered pairs and
-    shared outputs.
+    shared outputs.  Either witness is the first found in the order x, then
+    x_prime (inputs as declared), then y ascending: the first mismatch
+    output, or the first strict maximum of the loss.
     """
     inputs = spec.inputs
     common = spec.support(inputs[0])
@@ -244,6 +246,7 @@ class _WindowTable:
             with np.errstate(divide="ignore"):
                 shifted = np.exp(epsilon + np.log(tail))
         excess = np.where(k > 0, np.maximum(p[a + h + k] - p[a + h] - shifted, 0.0) / c, 0.0)
+        excess = np.minimum(excess, 1.0 - leakage)  # leakage + excess may not round above 1
         leakage = np.where(disjoint, 1.0, leakage)
         excess = np.where(disjoint, 0.0, excess)
         if not error_bound:

@@ -1,4 +1,6 @@
-"""Shared randomized-spec generators for the test suite."""
+"""Shared randomized-spec generators and reference oracles for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -43,6 +45,42 @@ def random_common_support_spec(rng, max_outputs=10):
     common = sorted(int(v) for v in rng.choice(outputs, size=k, replace=False))
     supports = {x: common for x in inputs}
     return MechanismSpec(random_kernel(rng), tuple(inputs), tuple(outputs), supports)
+
+
+def direct_pure_level(spec):
+    """(finite, level, witness) by the scalar loop over ordered triples (x, x', y).
+
+    Every log-weight is one scalar `Kernel.log_weight(spec.dist(x, y))`
+    call, each log normalizer is shifted by its input's largest log-weight,
+    and the first strict maximum in the order x, x', y wins.  The library's
+    `pure_ldp_epsilon` must give the same floats from its per-input rows.
+    """
+    def log_w(x, y):
+        return spec.kernel.log_weight(spec.dist(x, y))
+
+    for x in spec.inputs:
+        sup_x = spec.support(x)
+        for x_prime in spec.inputs:
+            if x == x_prime:
+                continue
+            sup_xp = set(spec.support(x_prime))
+            for y in sup_x:
+                if y not in sup_xp:
+                    return False, None, (x, x_prime, y)
+    log_z = {}
+    for x in spec.inputs:
+        lw = np.array([log_w(x, y) for y in spec.support(x)])
+        log_z[x] = float(lw.max()) + math.log(float(np.exp(lw - lw.max()).sum()))
+    best, witness = 0.0, None
+    for x in spec.inputs:
+        for x_prime in spec.inputs:
+            if x == x_prime:
+                continue
+            for y in spec.support(x):
+                loss = log_w(x, y) - log_w(x_prime, y) + log_z[x_prime] - log_z[x]
+                if loss > best:
+                    best, witness = loss, (x, x_prime, y)
+    return True, best, witness
 
 
 def direct_breakdown(kernel, epsilon, radius, separation):

@@ -267,6 +267,13 @@ class TestCheckPure:
         assert code == 2
         assert "not an output" in err
 
+    @pytest.mark.parametrize("values", [[["0", "1"], ["1", "0"]], [[False, True], [True, False]]])
+    def test_non_numeric_distance_exits_2(self, capsys, tmp_path, values):
+        bad = dict(COMMON_SPEC, distance={"type": "matrix", "values": values})
+        code, _, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, bad))
+        assert code == 2
+        assert "distance[0][0]" in err
+
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

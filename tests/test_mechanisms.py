@@ -312,6 +312,13 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=">= 0"):
             MechanismSpec(**kw)
 
+    @pytest.mark.parametrize("entry", [False, True, "0", None])
+    def test_matrix_entry_must_be_a_real_number(self, entry):
+        kw = self.good()
+        kw["distance"] = ((0.0, 1.0, entry), (1.0, 0.0, 1.0))
+        with pytest.raises(SpecError, match=r"distance\[0\]\[2\]"):
+            MechanismSpec(**kw)
+
     def test_matrix_nonzero_self_distance(self):
         kw = self.good()
         kw["distance"] = ((0.5, 1.0, 2.0), (1.0, 0.0, 1.0))
@@ -372,6 +379,11 @@ class TestSpecJson:
             (lambda d: d.update(inputs=[0, 1.5]), "integers"),
             (lambda d: d.pop("supports"), "supports"),
             (lambda d: d.update(supports={"zero": [0]}), "not an integer"),
+            (lambda d: d.update(supports={"1": [0], "01": [0, 1]}), "canonical"),
+            (lambda d: d.update(supports={"0": [0, 1], " 1": [0, 1]}), "canonical"),
+            (lambda d: d.update(supports={"0": [0, 1], "+1": [0, 1]}), "canonical"),
+            (lambda d: d.update(distance={"type": "matrix", "values": [["0", "1"], ["1", "0"]]}), "distance"),
+            (lambda d: d.update(distance={"type": "matrix", "values": [[False, True], [True, False]]}), "distance"),
             (lambda d: d.update(distance={"type": "euclid"}), "distance type"),
             (lambda d: d.update(distance={"type": "matrix"}), "matrix"),
         ],

@@ -310,6 +310,14 @@ class TestWorstCaseDefect:
             assert per_h[argmax_h] == delta_star
             assert all(v < delta_star for v in per_h[:argmax_h])  # ties break small
 
+    def test_defect_never_exceeds_one(self):
+        # leakage and excess are each divided by the normalizer, then added
+        assert worst_case_defect(Kernel.gaussian(2.0), 4001, 1.0, 2000)[0] == 1.0
+        for sigma in (0.5, 1.0, 2.0, 3.0):
+            for t in (5, 10, 50, 200):
+                for eps in (0.0, 0.5, 1.0):
+                    assert worst_case_defect(Kernel.gaussian(sigma), 2 * t + 1, eps, 2 * t + 1)[0] <= 1.0
+
     def test_non_integer_range_rejected(self):
         with pytest.raises(SpecError):
             worst_case_defect(Kernel.laplace(0.5), 7, 1.0, 2.5)
