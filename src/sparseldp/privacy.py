@@ -246,7 +246,7 @@ class _WindowTable:
             with np.errstate(divide="ignore"):
                 shifted = np.exp(epsilon + np.log(tail))
         excess = np.where(k > 0, np.maximum(p[a + h + k] - p[a + h] - shifted, 0.0) / c, 0.0)
-        excess = np.minimum(excess, 1.0 - leakage)  # leakage + excess may not round above 1
+        excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
         leakage = np.where(disjoint, 1.0, leakage)
         excess = np.where(disjoint, 0.0, excess)
         if not error_bound:
