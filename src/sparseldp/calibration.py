@@ -21,9 +21,9 @@ from .mechanisms import (
     TruncatedParams,
     _check_epsilon,
     _check_int,
-    distortion_moments,
+    _window_moments,
 )
-from .privacy import _WindowTable, separation_breakdown, worst_case_defect
+from .privacy import _WindowTable, _worst_case, separation_breakdown
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,12 @@ def min_feasible_support(
     low end of `gaussian_support_window`) certifies.
 
     Blocks of sizes x separations are evaluated at once from one window
-    prefix table, which grows by doubling up to the scan limit.  A size whose
-    value clears delta only within the table's rounding bound is confirmed
-    with `worst_case_defect`, so the chosen size is the first one that
-    `worst_case_defect` finds feasible, and `achieved_delta_star` is its value.
+    prefix table, which grows by doubling up to the scan limit.  A size is
+    surely above delta if its value minus a per-size rounding cap is; only a
+    size above delta that the cap leaves open gets the exact rounding bound.
+    The first other size is confirmed on the radius-t table that
+    `worst_case_defect` reads, so it is the first size that call finds
+    feasible; `achieved_delta_star` and `moments` come from that table.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
@@ -219,22 +221,27 @@ def min_feasible_support(
     start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
     hs = np.arange(1, privacy_range + 1)
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
-    table = _WindowTable(kernel, 0)
+    table = None
     s = start
     while s <= s_max:
         sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
         t = sizes[:, None] // 2
-        if table.t_max < t[-1, 0]:
-            table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max), s_max // 2))
-        leakage, excess, bound = table.breakdown(t, hs, epsilon, error_bound=True)
-        surely_above = (leakage + excess).max(axis=1, initial=0.0) - bound.max(axis=1, initial=0.0) > delta
+        if table is None or table.t_max < t[-1, 0]:
+            table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max if table else 0), s_max // 2))
+        leakage, excess = table.breakdown(t, hs, epsilon)
+        total = (leakage + excess).max(axis=1, initial=0.0)
+        surely_above = total - table.error_cap(t[:, 0], epsilon) > delta
+        undecided = (~surely_above & (total > delta)).nonzero()[0]
+        if undecided.size:
+            bound = table.breakdown(t[undecided], hs, epsilon, error_bound=True)[2]
+            surely_above[undecided] = total[undecided] - bound.max(axis=1, initial=0.0) > delta
         if surely_above.all():
             s = int(sizes[-1]) + 2
             continue
-        s = int(sizes[np.argmin(surely_above)])
-        delta_star, _ = worst_case_defect(kernel, s, epsilon, privacy_range)
+        s = int(sizes[surely_above.argmin()])
+        delta_star, _, confirming = _worst_case(kernel, s, epsilon, privacy_range)
         if delta_star <= delta:
-            return DesignResult(True, s, delta_star, distortion_moments(TruncatedParams(kernel, s)), s)
+            return DesignResult(True, s, delta_star, _window_moments(confirming.weights), s)
         s += 2
     return DesignResult(False, None, None, None, s_max if start <= s_max else 0)
 
@@ -246,8 +253,8 @@ def _sweep(points, epsilon: float, privacy_range: int, empty_message: str) -> li
         raise SpecError(empty_message)
     rows = []
     for varied, kernel, s in points:
-        delta_star, _ = worst_case_defect(kernel, s, epsilon, privacy_range)
-        m = distortion_moments(TruncatedParams(kernel, s))
+        delta_star, _, table = _worst_case(kernel, s, epsilon, privacy_range)
+        m = _window_moments(table.weights)
         rows.append(SweepRow(float(varied), delta_star, m.r1, m.r2))
     return rows
 

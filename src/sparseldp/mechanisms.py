@@ -152,7 +152,10 @@ class MechanismSpec:
         log_weights = {}
         for i, x in enumerate(self.inputs):
             if self.distance is None:
-                d = np.abs(np.array(supports[x], dtype=object) - x).astype(float)
+                try:
+                    d = np.abs(np.array(supports[x], dtype=object) - x).astype(float)
+                except OverflowError:
+                    raise SpecError(f"a distance from input {x} to its support is too large for a float") from None
             else:
                 d = np.array(self.distance[i])[columns[x]]
             log_weights[x] = self.kernel.log_weight(d)
@@ -169,10 +172,12 @@ class MechanismSpec:
             raise UnknownInputError(f"input {x} is not declared by this channel") from None
 
     def dist(self, x: int, y: int) -> float:
-        if self.distance is None:
-            return float(abs(x - y))
         try:
+            if self.distance is None:
+                return float(abs(x - y))
             return self.distance[self.inputs.index(x)][self._index[y]]
+        except OverflowError:
+            raise SpecError(f"distance from {x} to {y} is too large for a float") from None
         except ValueError:
             raise UnknownInputError(f"input {x} is not declared by this channel") from None
         except KeyError:
@@ -265,15 +270,18 @@ def truncated_spec(params: TruncatedParams, inputs: Sequence[int]) -> MechanismS
 
 
 def distortion_moments(params: TruncatedParams) -> DistortionMoments:
-    """Closed-form first and second distortion moments of the window family."""
-    t = params.t
-    w = window_weights(params.kernel, t)
-    c = float(w.sum())
-    j = np.arange(1, t + 1, dtype=float)
-    tail = w[t + 1 :]  # weights at distances 1..t
-    r1 = float(2.0 * np.sum(j * tail) / c)
-    r2 = float(2.0 * np.sum(j * j * tail) / c)
-    return DistortionMoments(r1, r2)
+    """Distortion moments r1 = 2 sum_j j W(j) / C_t and r2 = 2 sum_j j^2 W(j) / C_t over j = 1..t.
+
+    C_t is `np.sum` over the full window; design searches and sweeps read the same floats from their table."""
+    return _window_moments(np.exp(params.kernel.log_weight(np.arange(params.t + 1, dtype=float))))
+
+
+def _window_moments(weights: np.ndarray) -> DistortionMoments:
+    """The moments of `distortion_moments` from the kernel weights W(0..t)."""
+    tail = weights[1:]
+    c = float(np.concatenate((tail[::-1], weights)).sum())
+    j = np.arange(1, weights.size, dtype=float)
+    return DistortionMoments(float(2.0 * (j * tail).sum() / c), float(2.0 * (j * j * tail).sum() / c))
 
 
 def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, n: int) -> np.ndarray:

@@ -82,11 +82,14 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
     inputs = spec.inputs
     common = spec.support(inputs[0])
     if any(spec.support(x) != common for x in inputs):
-        for x in inputs:
-            for x_prime in inputs:
-                missing = set(spec.support(x)) - set(spec.support(x_prime))
-                if missing:
-                    return PureLdpResult(False, None, (x, x_prime, min(missing)))
+        member = np.zeros((len(inputs), len(spec.outputs)), dtype=bool)  # row input, column output
+        for i, x in enumerate(inputs):
+            member[i, [spec._index[y] for y in spec.support(x)]] = True
+        for i, x in enumerate(inputs):
+            missing = member[i] & ~member  # row x_prime: outputs of x that x_prime cannot produce
+            if missing.any():
+                j = int(np.argmax(missing.any(axis=1)))
+                return PureLdpResult(False, None, (x, inputs[j], min(y for y, m in zip(spec.outputs, missing[j]) if m)))
     lw = np.array([spec._log_weights[x] for x in inputs])
     log_z = np.array([_log_normalizer(row) for row in lw])
     best = 0.0
@@ -189,12 +192,16 @@ class _WindowTable:
         self.t_max = t_max
         self.weights = np.exp(kernel.log_weight(np.arange(t_max + 1, dtype=float)))
         ring = np.concatenate(([0.0], self.weights[:0:-1], self.weights))
-        prefix = np.cumsum(ring)
+        prefix = ring.cumsum()
         # each addition's rounding error, recovered exactly (TwoSum), is added
         # back, so every prefix is within about one rounding of its exact sum
         prev = np.concatenate(([0.0], prefix[:-1]))
         added = prefix - prev
-        self.prefix = prefix + np.cumsum((prev - (prefix - added)) + (ring - added))
+        self.prefix = prefix + ((prev - (prefix - added)) + (ring - added)).cumsum()
+        # Every prefix is within u (1 + n u) of its exact sum, n = len(prefix),
+        # so each difference errs by at most that much of both its ends;
+        # doubling covers the same quantity on any other table.
+        self.rounding = 4.0 * 2.0**-53 * (1.0 + self.prefix.size * 2.0**-53)
 
     def positive_terms(self, t, h, epsilon: float):
         """K(h): the number of leading overlap terms w[h+k] - e^eps w[k] that are positive.
@@ -213,52 +220,65 @@ class _WindowTable:
         param = self.kernel.param
         if self.kernel.family == LAPLACE:
             n = _least_integer_above(lambda n: param * n * _UNTIED, epsilon, epsilon / param, self.t_max + 1)
-            j_min = np.where(h >= n, n, 2 * t + 1)
+            if h.max(initial=0) < n:  # every separation is in the clean regime
+                return np.zeros(np.broadcast(t, h).shape, dtype=int)
+            j_min = np.where(h >= n, n, 2 * self.t_max + 2)
         else:
             two_var = 2.0 * param * param
             m = _least_integer_above(lambda m: m / two_var * _UNTIED, epsilon, epsilon * two_var, self.t_max**2 + 1)
-            j_min = np.where(h > 0, -(-m // np.maximum(h, 1)), 2 * t + 1)
-        return np.maximum((2 * t - h - j_min) // 2 + 1, 0)
+            j_min = np.where(h > 0, -(-m // np.maximum(h, 1)), 2 * self.t_max + 2)
+        # (2t - h - j_min) // 2 + 1 = t - ((h + j_min + 1) // 2 - 1); j_min = 2 t_max + 2: no term at any t
+        return np.maximum(t - ((h + j_min + 1) // 2 - 1), 0)
 
     def breakdown(self, t, h, epsilon: float, error_bound: bool = False):
         """Leakage and overlap excess of radius-t windows h apart, broadcast over arrays.
 
         Leakage is G_t(h) / C_t; the excess is
-        (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, exactly 0 when K = 0.
-        Separations beyond 2t give exactly (1, 0).  With `error_bound`, a
-        third array bounds how far each total can be from the same quantity
-        evaluated on any other table of this kernel, a radius-t one included.
+        (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, exactly 0 when K = 0 (and
+        not computed when K is 0 at every (t, h)).  Separations beyond 2t give
+        exactly (1, 0).  With `error_bound`, a third array bounds how far each
+        total can be from the same quantity evaluated on any other table of
+        this kernel, a radius-t one included; `error_cap` caps it per radius.
         """
         t, h = np.asarray(t), np.asarray(h)
-        disjoint = h > 2 * t
-        h = np.minimum(h, 2 * t)
-        p = self.prefix
-        a = self.t_max - t
-        c = p[a + 2 * t + 1] - p[a]
-        leakage = (p[a + h] - p[a]) / c
+        some_disjoint = h.max(initial=0) > 2 * t.min(initial=self.t_max)  # no grid work when false
+        if some_disjoint:
+            disjoint = h > 2 * t
+            h = np.minimum(h, 2 * t)
+        p, a = self.prefix, self.t_max - t
+        ah = a + h
+        p_a, p_h, p_c = p[a], p[ah], p[self.t_max + 1 + t]
+        c = p_c - p_a
+        leakage = (p_h - p_a) / c
         k = self.positive_terms(t, h, epsilon)
-        tail = p[a + k] - p[a]
-        if epsilon < 709.0:
-            e_eps = math.exp(epsilon)
-            shifted = tail * e_eps
-        else:  # e^eps overflows; only weights below e^-eps can enter the tail sum
-            e_eps = math.inf
-            with np.errstate(divide="ignore"):
-                shifted = np.exp(epsilon + np.log(tail))
-        excess = np.where(k > 0, np.maximum(p[a + h + k] - p[a + h] - shifted, 0.0) / c, 0.0)
-        excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
-        leakage = np.where(disjoint, 1.0, leakage)
-        excess = np.where(disjoint, 0.0, excess)
+        e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
+        excess = np.zeros(leakage.shape)
+        if k.any():
+            p_k, p_hk = p[a + k], p[ah + k]
+            if epsilon < 709.0:
+                shifted = (p_k - p_a) * e_eps
+            else:  # e^eps overflows; only weights below e^-eps can enter the tail sum
+                with np.errstate(divide="ignore"):
+                    shifted = np.exp(epsilon + np.log(p_k - p_a))
+            excess = np.maximum(p_hk - p_h - shifted, 0.0) / c  # exactly 0 where k = 0
+            excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
+        if some_disjoint:
+            leakage = np.where(disjoint, 1.0, leakage)
+            excess = np.where(disjoint, 0.0, excess)
         if not error_bound:
             return leakage, excess
-        # Every prefix is within u (1 + n u) of its exact sum, n = len(prefix),
-        # so each difference errs by at most that much of both its ends;
-        # doubling covers the same quantity on any other table.
         with np.errstate(over="ignore", invalid="ignore"):
-            ends = p[a + h] + p[a] + (leakage + excess) * (p[a + 2 * t + 1] + p[a])
-            ends += np.where(k > 0, p[a + h + k] + p[a + h] + e_eps * (p[a + k] + p[a]), 0.0)
-            bound = 4.0 * 2.0**-53 * (1.0 + p.size * 2.0**-53) * ends / c
-        return leakage, excess, np.where(disjoint, 0.0, bound)
+            ends = p_h + p_a + (leakage + excess) * (p_c + p_a)
+            ends += np.where(k > 0, p[ah + k] + p_h + e_eps * (p[a + k] + p_a), 0.0)
+            bound = self.rounding * ends / c
+        return leakage, excess, np.where(disjoint, 0.0, bound) if some_disjoint else bound
+
+    def error_cap(self, t, epsilon: float):
+        """At least `breakdown`'s error bound at every separation of radius t; inf when eps >= 709."""
+        # that bound sums six prefixes and e^eps times two more, none above p[t_max + t + 1]
+        p, end = self.prefix, self.t_max + 1 + t
+        e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
+        return self.rounding * (6.0 + 2.0 * e_eps) * p[end] / (p[end] - p[self.t_max - t])
 
 
 def _least_integer_above(ratio, epsilon: float, guess: float, cap: int) -> int:
@@ -304,14 +324,19 @@ def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int
     values are those of `separation_breakdown`.  Separations past 2t + 1
     repeat its exact total of 1, so they are not evaluated.
     """
-    params = TruncatedParams(kernel, s)
+    return _worst_case(kernel, s, epsilon, privacy_range)[:2]
+
+
+def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int, _WindowTable]:
+    """`worst_case_defect`'s value and argmax, with the radius-t table they were read from."""
+    t = TruncatedParams(kernel, s).t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
-    t = params.t
-    leakage, excess = _WindowTable(kernel, t).breakdown(t, np.arange(1, min(privacy_range, 2 * t + 1) + 1), epsilon)
+    table = _WindowTable(kernel, t)
+    leakage, excess = table.breakdown(t, np.arange(1, min(privacy_range, 2 * t + 1) + 1), epsilon)
     total = leakage + excess
     best = float(total.max(initial=0.0))
-    return (best, int(np.argmax(total)) + 1) if best > 0.0 else (0.0, 0)
+    return (best, int(total.argmax()) + 1, table) if best > 0.0 else (0.0, 0, table)
 
 
 def gaussian_overlap_threshold(separation: int, sigma: float, epsilon: float) -> float:

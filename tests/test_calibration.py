@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparseldp import (
     Kernel,
@@ -303,12 +305,22 @@ class TestSweeps:
         assert rows[0].delta_star == 1.0
         assert rows[0].r1 == 0.0 and rows[0].r2 == 0.0
 
-    def test_rows_recompute(self):
-        rows = sweep_support(Kernel.laplace(0.4), 1.0, 2, [3, 5, 7])
-        for row in rows:
-            s = int(row.varied)
-            exact, _ = worst_case_defect(Kernel.laplace(0.4), s, 1.0, 2)
-            m = distortion_moments(TruncatedParams(Kernel.laplace(0.4), s))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.floats(0.005, 3.0).map(Kernel.laplace), st.floats(0.3, 60.0).map(Kernel.gaussian)),
+        st.floats(0.0, 5.0),
+        st.lists(st.integers(0, 2000), min_size=1, max_size=4),
+        st.integers(0, 200),
+    )
+    @example(Kernel.laplace(0.4), 1.0, [1, 2, 3], 2)
+    def test_rows_recompute(self, kernel, eps, radii, privacy_range):
+        # each row reads one radius-t table; it must give the public calls' floats
+        sizes = [2 * t + 1 for t in radii]
+        rows = sweep_support(kernel, eps, privacy_range, sizes)
+        rows += sweep_param(kernel.family, [kernel.param], eps, privacy_range, sizes[0])
+        for row, s in zip(rows, sizes + sizes[:1]):
+            exact, _ = worst_case_defect(kernel, s, eps, privacy_range)
+            m = distortion_moments(TruncatedParams(kernel, s))
             assert (row.delta_star, row.r1, row.r2) == (exact, m.r1, m.r2)
 
     def test_even_size_rejected(self):

@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_pure_level, random_common_support_spec, random_spec
@@ -54,6 +54,28 @@ def test_level_and_witness_equal_the_scalar_loop(spec):
     assert (res.finite, res.epsilon_star, res.witness) == direct_pure_level(spec)
     if res.finite and res.witness is not None:
         assert pointwise_loss(spec, *res.witness) == res.epsilon_star
+
+
+@st.composite
+def mismatched_specs(draw):
+    """Specs whose supports are not all equal, with outputs declared out of order."""
+    outputs = draw(st.lists(st.integers(-10, 10), min_size=2, max_size=12, unique=True))
+    inputs = draw(st.lists(st.integers(-10, 10), min_size=2, max_size=6, unique=True))
+    common = draw(st.sets(st.sampled_from(outputs), min_size=1))
+    supports = {x: set(common) for x in inputs}
+    for x in draw(st.lists(st.sampled_from(inputs), min_size=1, unique=True)):
+        supports[x] = (supports[x] ^ {draw(st.sampled_from(outputs))}) or supports[x]
+    assume(len({frozenset(sup) for sup in supports.values()}) > 1)
+    kernel = draw(st.sampled_from([Kernel.laplace(0.7), Kernel.gaussian(1.5)]))
+    return MechanismSpec(kernel, tuple(inputs), tuple(outputs), {x: tuple(sup) for x, sup in supports.items()})
+
+
+@SETTINGS
+@given(mismatched_specs())
+def test_mismatch_witness_equals_the_scalar_loop(spec):
+    res = pure_ldp_epsilon(spec)
+    assert not res.finite
+    assert (res.finite, res.epsilon_star, res.witness) == direct_pure_level(spec)
 
 
 @SETTINGS
@@ -114,3 +136,19 @@ class TestFarSupport:
         # d^2 overflows, so no float can carry the weight ratio
         with pytest.raises(SpecError, match="float range"):
             MechanismSpec(Kernel.gaussian(1.0), (0,), (10**200,), {0: (10**200,)})
+
+    def test_symbols_beyond_float_range_rejected(self):
+        # |x - y| has no float: SpecError, not OverflowError
+        with pytest.raises(SpecError, match="too large for a float"):
+            MechanismSpec(Kernel.laplace(1.0), (0,), (10**320,), {0: (10**320,)})
+        spec = MechanismSpec(Kernel.laplace(1.0), (0,), (1,), {0: (1,)})
+        with pytest.raises(SpecError, match="too large for a float"):
+            spec.dist(0, 10**320)
+
+    def test_check_pure_on_symbols_beyond_float_range_exits_2(self, capsys, tmp_path):
+        doc = {"kernel": {"family": "laplace", "param": 1.0}, "inputs": [0], "outputs": [10**320],
+               "supports": {"0": [10**320]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-pure", "--spec", str(path)]) == 2
+        assert "too large for a float" in capsys.readouterr().err

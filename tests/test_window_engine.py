@@ -19,9 +19,14 @@ from hypothesis import strategies as st
 from conftest import direct_breakdown, direct_design, direct_worst_case
 from sparseldp import (
     Kernel,
+    TruncatedParams,
+    distortion_moments,
     laplace_clean_bound,
+    mechanisms,
     min_feasible_support,
     separation_breakdown,
+    sweep_param,
+    sweep_support,
     window_weights,
     worst_case_defect,
 )
@@ -151,6 +156,15 @@ class TestErrorBound:
         assert abs((big[0] + big[1]) - (own[0] + own[1])) <= big[2]
         assert big[2] <= 1e-12
 
+    @SETTINGS
+    @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
+    def test_cap_covers_every_separation_of_its_radius(self, kernel, eps, case, extra):
+        t, _ = case
+        table = _WindowTable(kernel, t + extra)
+        bound = table.breakdown(t, np.arange(2 * t + 3), eps, error_bound=True)[2]
+        assert table.error_cap(t, eps) >= bound.max()
+        assert table.error_cap(t, 709.0) == table.error_cap(t, 1e308) == math.inf
+
 
 class TestDesignScan:
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -181,11 +195,47 @@ class TestDesignScan:
         res = min_feasible_support(Kernel.laplace(0.5), 1.0, 0.5, 3, s_max=2 * 10**12 + 1)
         assert res.s_chosen == 7
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kernels, epsilons, st.integers(0, 2000), st.integers(0, 200))
+    def test_design_reads_its_confirming_table(self, kernel, eps, t, privacy_range):
+        # s = 2t + 1 meets the target, so the scan confirms a size at most s
+        s, privacy_range = 2 * t + 1, min(privacy_range, 2 * t)
+        delta = max(worst_case_defect(kernel, s, eps, privacy_range)[0], 2.0**-1000)
+        res = min_feasible_support(kernel, eps, delta, privacy_range, s_max=s)
+        assert res.feasible and res.s_chosen <= s
+        assert res.achieved_delta_star == worst_case_defect(kernel, res.s_chosen, eps, privacy_range)[0]
+        assert res.moments == distortion_moments(TruncatedParams(kernel, res.s_chosen))
+
     def test_infeasible_reports_the_scan_limit(self):
         res = min_feasible_support(Kernel.gaussian(20.0), 1.0, 1e-3, 20)
         assert not res.feasible and res.s_scanned_max == 3281
         res = min_feasible_support(Kernel.laplace(0.5), 1.0, 0.5, 8, s_max=5)
         assert not res.feasible and res.s_scanned_max == 0
+
+
+def test_each_answered_size_builds_one_table(monkeypatch):
+    built, weights_calls = [], []
+    init = _WindowTable.__init__
+
+    def counting_init(self, kernel, t_max):
+        built.append(t_max)
+        init(self, kernel, t_max)
+
+    def counting_weights(*args):
+        weights_calls.append(args)
+        return window_weights(*args)
+
+    monkeypatch.setattr(_WindowTable, "__init__", counting_init)
+    monkeypatch.setattr(mechanisms, "window_weights", counting_weights)
+    sweep_support(Kernel.gaussian(3.0), 1.0, 5, [11, 21, 41])
+    assert built == [5, 10, 20]
+    sweep_param("laplace", [0.2, 0.5], 1.0, 3, 21)
+    assert built[3:] == [10, 10]
+    built.clear()
+    res = min_feasible_support(Kernel.laplace(0.5), 1.0, 0.5, 3)
+    assert res.s_chosen == 7  # in the first block: one scan table, one confirming table
+    assert len(built) <= 2 and built[-1] == 3
+    assert weights_calls == []
 
 
 def _leakage_50_digits(kernel, t, h):
