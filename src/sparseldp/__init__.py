@@ -48,6 +48,7 @@ from .privacy import (
     pure_ldp_bound,
     pure_ldp_epsilon,
     separation_breakdown,
+    separation_profile,
     worst_case_defect,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "pure_ldp_epsilon",
     "sample",
     "separation_breakdown",
+    "separation_profile",
     "spec_from_dict",
     "sweep_param",
     "sweep_support",

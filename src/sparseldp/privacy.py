@@ -315,6 +315,18 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     return DefectBreakdown(float(leakage), float(excess))
 
 
+def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leakage and overlap excess at every separation 0..privacy_range, as two arrays.
+
+    Read from one radius-t table; entry h holds the floats of
+    `separation_breakdown` at separation h, so separations past 2t give (1, 0).
+    """
+    t = TruncatedParams(kernel, s).t
+    epsilon = _check_epsilon(epsilon)
+    privacy_range = _check_int("privacy range", privacy_range, 0)
+    return _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), epsilon)
+
+
 def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int]:
     """Max separation defect over separations 0..privacy_range, with argmax.
 

@@ -25,6 +25,7 @@ from sparseldp import (
     mechanisms,
     min_feasible_support,
     separation_breakdown,
+    separation_profile,
     sweep_param,
     sweep_support,
     window_weights,
@@ -144,6 +145,25 @@ class TestAgainstDirectFormula:
         hs = np.arange(privacy_range + 1)
         _, excess = _WindowTable(Kernel.laplace(lam), t).breakdown(t, hs, eps)
         assert not excess.any()
+
+
+class TestSeparationProfile:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kernels, st.one_of(epsilons, st.sampled_from([709.0, 1e308])), st.integers(0, 150), st.integers(0, 4))
+    def test_every_entry_is_the_separation_breakdown(self, kernel, eps, t, past):
+        leakage, excess = separation_profile(kernel, 2 * t + 1, eps, 2 * t + past)
+        assert leakage.shape == excess.shape == (2 * t + past + 1,)
+        for h in range(2 * t + past + 1):
+            b = separation_breakdown(kernel, eps, t, h)
+            assert (leakage[h].hex(), excess[h].hex()) == (b.support_leakage.hex(), b.overlap_excess.hex())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kernels, epsilons, st.integers(0, 2000), st.floats(0.0, 1.0))
+    def test_argmax_is_the_worst_case_argmax(self, kernel, eps, t, share):
+        privacy_range = round(share * (2 * t + 1))
+        leakage, excess = separation_profile(kernel, 2 * t + 1, eps, privacy_range)
+        total = leakage + excess
+        assert (float(total.max()), int(total.argmax())) == worst_case_defect(kernel, 2 * t + 1, eps, privacy_range)
 
 
 class TestErrorBound:
