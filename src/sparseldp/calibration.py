@@ -203,9 +203,8 @@ def min_feasible_support(
 
     Blocks of sizes x separations are evaluated at once from one window
     prefix table, which grows by doubling up to the scan limit.  A size is
-    surely above delta if its value minus a per-size rounding cap is; only a
-    size above delta that the cap leaves open gets the exact rounding bound.
-    The first other size is confirmed on the radius-t table that
+    surely above delta if its value minus the table's rounding bound for its
+    radius is.  The first other size is confirmed on the radius-t table that
     `worst_case_defect` reads, so it is the first size that call finds
     feasible; `achieved_delta_star` and `moments` come from that table.
     """
@@ -228,13 +227,9 @@ def min_feasible_support(
         t = sizes[:, None] // 2
         if table is None or table.t_max < t[-1, 0]:
             table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max if table else 0), s_max // 2))
-        leakage, excess = table.breakdown(t, hs, epsilon)
+        leakage, excess, k = table.breakdown(t, hs, epsilon)
         total = (leakage + excess).max(axis=1, initial=0.0)
-        surely_above = total - table.error_cap(t[:, 0], epsilon) > delta
-        undecided = (~surely_above & (total > delta)).nonzero()[0]
-        if undecided.size:
-            bound = table.breakdown(t[undecided], hs, epsilon, error_bound=True)[2]
-            surely_above[undecided] = total[undecided] - bound.max(axis=1, initial=0.0) > delta
+        surely_above = total - table.error_bound(t[:, 0], k, epsilon) > delta  # False where NaN
         if surely_above.all():
             s = int(sizes[-1]) + 2
             continue

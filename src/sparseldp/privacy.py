@@ -230,15 +230,13 @@ class _WindowTable:
         # (2t - h - j_min) // 2 + 1 = t - ((h + j_min + 1) // 2 - 1); j_min = 2 t_max + 2: no term at any t
         return np.maximum(t - ((h + j_min + 1) // 2 - 1), 0)
 
-    def breakdown(self, t, h, epsilon: float, error_bound: bool = False):
-        """Leakage and overlap excess of radius-t windows h apart, broadcast over arrays.
+    def breakdown(self, t, h, epsilon: float):
+        """Leakage, overlap excess and K(h) of radius-t windows h apart, broadcast over arrays.
 
         Leakage is G_t(h) / C_t; the excess is
         (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, exactly 0 when K = 0 (and
         not computed when K is 0 at every (t, h)).  Separations beyond 2t give
-        exactly (1, 0).  With `error_bound`, a third array bounds how far each
-        total can be from the same quantity evaluated on any other table of
-        this kernel, a radius-t one included; `error_cap` caps it per radius.
+        exactly (1, 0).  K is what `error_bound` reads; other callers drop it.
         """
         t, h = np.asarray(t), np.asarray(h)
         some_disjoint = h.max(initial=0) > 2 * t.min(initial=self.t_max)  # no grid work when false
@@ -251,12 +249,11 @@ class _WindowTable:
         c = p_c - p_a
         leakage = (p_h - p_a) / c
         k = self.positive_terms(t, h, epsilon)
-        e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
         excess = np.zeros(leakage.shape)
         if k.any():
             p_k, p_hk = p[a + k], p[ah + k]
             if epsilon < 709.0:
-                shifted = (p_k - p_a) * e_eps
+                shifted = (p_k - p_a) * math.exp(epsilon)
             else:  # e^eps overflows; only weights below e^-eps can enter the tail sum
                 with np.errstate(divide="ignore"):
                     shifted = np.exp(epsilon + np.log(p_k - p_a))
@@ -265,20 +262,26 @@ class _WindowTable:
         if some_disjoint:
             leakage = np.where(disjoint, 1.0, leakage)
             excess = np.where(disjoint, 0.0, excess)
-        if not error_bound:
-            return leakage, excess
-        with np.errstate(over="ignore", invalid="ignore"):
-            ends = p_h + p_a + (leakage + excess) * (p_c + p_a)
-            ends += np.where(k > 0, p[ah + k] + p_h + e_eps * (p[a + k] + p_a), 0.0)
-            bound = self.rounding * ends / c
-        return leakage, excess, np.where(disjoint, 0.0, bound) if some_disjoint else bound
+        return leakage, excess, k
 
-    def error_cap(self, t, epsilon: float):
-        """At least `breakdown`'s error bound at every separation of radius t; inf when eps >= 709."""
-        # that bound sums six prefixes and e^eps times two more, none above p[t_max + t + 1]
+    def error_bound(self, t, k, epsilon: float):
+        """Per radius, how far a total `breakdown` gave can be from the same quantity on any table of this kernel.
+
+        `t` holds ascending radii and `k` their rows of K(h) from `breakdown`.
+        A total rounds by at most `rounding` times six prefixes, none past the
+        window end, plus e^eps (p[a+K] + p[a]) where K > 0, over C_t
+        (a = t_max - t).  The prefix is monotone, so a row's largest K covers
+        it.  NaN (inf e^eps times underflowed weights) reads as unbounded.
+        """
         p, end = self.prefix, self.t_max + 1 + t
-        e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
-        return self.rounding * (6.0 + 2.0 * e_eps) * p[end] / (p[end] - p[self.t_max - t])
+        p_a, p_end = p[self.t_max - t], p[end]
+        ends = 6.0 * p_end
+        q = t[-1] - k[-1].max(initial=0)  # K = max(t - q(h), 0): the least q(h), so t - q is a row's largest K
+        if q < t[-1]:
+            e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                ends = ends + np.where(t > q, e_eps * (p[self.t_max - q] + p_a), 0.0)  # p[a + t - q]
+        return self.rounding * ends / (p_end - p_a)
 
 
 def _least_integer_above(ratio, epsilon: float, guess: float, cap: int) -> int:
@@ -311,7 +314,7 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     epsilon = _check_epsilon(epsilon)
     t = _check_int("radius", radius, 0)
     h = _check_int("separation", separation, 0)
-    leakage, excess = _WindowTable(kernel, t).breakdown(t, h, epsilon)
+    leakage, excess, _ = _WindowTable(kernel, t).breakdown(t, h, epsilon)
     return DefectBreakdown(float(leakage), float(excess))
 
 
@@ -324,7 +327,7 @@ def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: in
     t = TruncatedParams(kernel, s).t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
-    return _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), epsilon)
+    return _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), epsilon)[:2]
 
 
 def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int]:
@@ -345,7 +348,7 @@ def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     table = _WindowTable(kernel, t)
-    leakage, excess = table.breakdown(t, np.arange(1, min(privacy_range, 2 * t + 1) + 1), epsilon)
+    leakage, excess, _ = table.breakdown(t, np.arange(1, min(privacy_range, 2 * t + 1) + 1), epsilon)
     total = leakage + excess
     best = float(total.max(initial=0.0))
     return (best, int(total.argmax()) + 1, table) if best > 0.0 else (0.0, 0, table)

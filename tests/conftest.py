@@ -121,3 +121,30 @@ def direct_design(kernel, epsilon, delta, privacy_range, s_max):
         if direct_worst_case(kernel, s, epsilon, privacy_range)[0] <= delta:
             return s, scanned
     return None, scanned
+
+
+def per_cell_error_bound(table, t, hs, epsilon):
+    """The exact per-cell rounding bound of radius-t totals at separations `hs`, 0 where disjoint.
+
+    Each total rounds by at most `table.rounding` times the prefixes it
+    reads, p[a+h] + p[a] + total (p[e] + p[a]), plus p[a+h+K] + p[a+h] +
+    e^eps (p[a+K] + p[a]) where K > 0, over C_t; the table's per-radius
+    `error_bound` must never be below it.
+    """
+    hs = np.asarray(hs)
+    leakage, excess, k = table.breakdown(t, hs, epsilon)
+    p, a, h = table.prefix, table.t_max - t, np.minimum(hs, 2 * t)
+    p_a, p_h, p_e = p[a], p[a + h], p[table.t_max + 1 + t]
+    e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = p_h + p_a + (leakage + excess) * (p_e + p_a)
+        ends += np.where(k > 0, p[a + h + k] + p_h + e_eps * (p[a + k] + p_a), 0.0)
+        bound = table.rounding * ends / (p_e - p_a)
+    return np.where(hs > 2 * t, 0.0, bound)
+
+
+def error_cap(table, t, epsilon):
+    """rounding (6 + 2 e^eps) p[e] / C_t: the per-radius bound with every prefix at the window end."""
+    p, end = table.prefix, table.t_max + 1 + t
+    e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
+    return table.rounding * (6.0 + 2.0 * e_eps) * p[end] / (p[end] - p[table.t_max - t])

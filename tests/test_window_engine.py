@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_breakdown, direct_design, direct_worst_case
+from conftest import direct_breakdown, direct_design, direct_worst_case, error_cap, per_cell_error_bound
 from sparseldp import (
     Kernel,
     TruncatedParams,
@@ -143,8 +143,8 @@ class TestAgainstDirectFormula:
         t = privacy_range + extra
         assert laplace_clean_bound(eps, lam, 2 * t + 1, privacy_range).applicable
         hs = np.arange(privacy_range + 1)
-        _, excess = _WindowTable(Kernel.laplace(lam), t).breakdown(t, hs, eps)
-        assert not excess.any()
+        _, excess, k = _WindowTable(Kernel.laplace(lam), t).breakdown(t, hs, eps)
+        assert not excess.any() and not k.any()
 
 
 class TestSeparationProfile:
@@ -166,24 +166,48 @@ class TestSeparationProfile:
         assert (float(total.max()), int(total.argmax())) == worst_case_defect(kernel, 2 * t + 1, eps, privacy_range)
 
 
+def radius_bound(table, t, hs, eps):
+    """The table's per-radius error bound of radius t over separations `hs`."""
+    return float(table.error_bound(np.array([t]), table.breakdown(t, np.atleast_2d(hs), eps)[2], eps)[0])
+
+
 class TestErrorBound:
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
     def test_covers_a_radius_t_table(self, kernel, eps, case, extra):
         t, h = case
-        big = _WindowTable(kernel, t + extra).breakdown(t, h, eps, error_bound=True)
+        table = _WindowTable(kernel, t + extra)
+        big = table.breakdown(t, h, eps)
         own = _WindowTable(kernel, t).breakdown(t, h, eps)
-        assert abs((big[0] + big[1]) - (own[0] + own[1])) <= big[2]
-        assert big[2] <= 1e-12
+        bound = radius_bound(table, t, h, eps)
+        assert abs((big[0] + big[1]) - (own[0] + own[1])) <= bound
+        assert bound <= 1e-12
 
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
-    def test_cap_covers_every_separation_of_its_radius(self, kernel, eps, case, extra):
+    def test_at_least_the_per_cell_bound_of_every_separation(self, kernel, eps, case, extra):
+        t, _ = case
+        table, hs = _WindowTable(kernel, t + extra), np.arange(2 * t + 3)
+        assert radius_bound(table, t, hs, eps) >= per_cell_error_bound(table, t, hs, eps).max()
+
+    @SETTINGS
+    @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
+    def test_at_most_the_cap_of_its_radius(self, kernel, eps, case, extra):
         t, _ = case
         table = _WindowTable(kernel, t + extra)
-        bound = table.breakdown(t, np.arange(2 * t + 3), eps, error_bound=True)[2]
-        assert table.error_cap(t, eps) >= bound.max()
-        assert table.error_cap(t, 709.0) == table.error_cap(t, 1e308) == math.inf
+        assert radius_bound(table, t, np.arange(2 * t + 3), eps) <= error_cap(table, t, eps)
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(0.5), Kernel.laplace(2.0), Kernel.gaussian(0.3), Kernel.gaussian(3.0)])
+    @pytest.mark.parametrize("eps", [709.0, 800.0, 1e308])
+    def test_past_the_range_of_exp(self, kernel, eps):
+        # e^eps is inf: the bound is unbounded (inf, or NaN where weights underflow) only where a term is positive
+        table = _WindowTable(kernel, 400)
+        for t in (1, 30, 400):
+            hs = np.arange(2 * t + 2)
+            k = table.breakdown(t, hs[None, :], eps)[2]
+            bound = radius_bound(table, t, hs, eps)
+            assert math.isfinite(bound) != bool(k.any())
+            assert not bound > error_cap(table, t, eps)
 
 
 class TestDesignScan:
@@ -225,6 +249,21 @@ class TestDesignScan:
         assert res.feasible and res.s_chosen <= s
         assert res.achieved_delta_star == worst_case_defect(kernel, res.s_chosen, eps, privacy_range)[0]
         assert res.moments == distortion_moments(TruncatedParams(kernel, res.s_chosen))
+
+    def test_one_breakdown_call_per_block(self, monkeypatch):
+        radii = []
+        breakdown = _WindowTable.breakdown
+
+        def counting_breakdown(self, t, h, epsilon):
+            radii.append(np.asarray(t).ravel().tolist())
+            return breakdown(self, t, h, epsilon)
+
+        monkeypatch.setattr(_WindowTable, "breakdown", counting_breakdown)
+        # rounding * e^40 is far above delta: no bound settles a size unless it drops the e^eps term
+        res = min_feasible_support(Kernel.laplace(0.5), 40.0, 1e-12, 100)
+        assert not res.feasible and res.s_scanned_max == 281
+        # sizes 101..281 in ten blocks of ten; each radius read once and none confirmed
+        assert len(radii) == 10 and sum(radii, []) == list(range(50, 141))
 
     def test_infeasible_reports_the_scan_limit(self):
         res = min_feasible_support(Kernel.gaussian(20.0), 1.0, 1e-3, 20)
