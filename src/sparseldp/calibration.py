@@ -68,8 +68,7 @@ class SweepRow:
 def feasibility_min_support(privacy_range: int) -> int:
     """Smallest odd support size not forced to total defect by disjointness."""
     privacy_range = _check_int("privacy range", privacy_range, 0)
-    s = max(privacy_range + 1, 1)
-    return s if s % 2 == 1 else s + 1
+    return _next_odd_at_least(privacy_range + 1)
 
 
 def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) -> CleanBoundReport:
@@ -107,8 +106,7 @@ def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: in
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
     exact = separation_breakdown(params.kernel, epsilon, t, privacy_range).support_leakage
-    gap = t - privacy_range + 1
-    bound = privacy_range * math.exp(-(gap * gap) / (2.0 * sigma * sigma))
+    bound = privacy_range * math.exp(params.kernel.log_weight(t - privacy_range + 1))
     return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
 
 
@@ -161,9 +159,7 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
     s_hi = math.floor(hi)
     if s_hi % 2 == 0:
         s_hi -= 1
-    if s_lo > s_hi:
-        return None
-    return (s_lo, s_hi)
+    return (s_lo, s_hi) if s_lo <= s_hi else None
 
 
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
@@ -220,8 +216,7 @@ def min_feasible_support(
     start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
     hs = np.arange(1, privacy_range + 1)
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
-    table = None
-    s = start
+    table, s = None, start
     while s <= s_max:
         sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
         t = sizes[:, None] // 2

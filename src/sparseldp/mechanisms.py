@@ -291,10 +291,7 @@ def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, 
     boundary is inclusive on the left, so u == F(y_{i-1}) selects y_i.
     """
     n = _check_int("sample count", n, 0)
-    if isinstance(mechanism, TruncatedParams):
-        masses = truncated_pmf(mechanism, x)
-    else:
-        masses = mechanism.pmf(x)
+    masses = truncated_pmf(mechanism, x) if isinstance(mechanism, TruncatedParams) else mechanism.pmf(x)
     ys = np.array(sorted(masses), dtype=np.int64)
     p = np.array([masses[int(y)] for y in ys])
     cum = np.cumsum(p)

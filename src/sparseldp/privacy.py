@@ -319,11 +319,7 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
 
 
 def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leakage and overlap excess at every separation 0..privacy_range, as two arrays.
-
-    Read from one radius-t table; entry h holds the floats of
-    `separation_breakdown` at separation h, so separations past 2t give (1, 0).
-    """
+    """Leakage and overlap excess arrays over separations 0..privacy_range: `separation_breakdown`'s floats."""
     t = TruncatedParams(kernel, s).t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
@@ -348,10 +344,9 @@ def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     table = _WindowTable(kernel, t)
-    leakage, excess, _ = table.breakdown(t, np.arange(1, min(privacy_range, 2 * t + 1) + 1), epsilon)
-    total = leakage + excess
-    best = float(total.max(initial=0.0))
-    return (best, int(total.argmax()) + 1, table) if best > 0.0 else (0.0, 0, table)
+    leakage, excess, _ = table.breakdown(t, np.arange(min(privacy_range, 2 * t + 1) + 1), epsilon)
+    total = leakage + excess  # exactly 0 at separation 0, so the first argmax is 0 when nothing leaks
+    return float(total.max()), int(total.argmax()), table
 
 
 def gaussian_overlap_threshold(separation: int, sigma: float, epsilon: float) -> float:
