@@ -9,6 +9,7 @@ tabulate the privacy/distortion tradeoff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,7 @@ def _next_odd_at_least(value: float) -> int:
 
 
 def _check_delta(delta) -> float:
-    if isinstance(delta, bool) or not (isinstance(delta, (int, float)) and 0 < delta <= 1):
+    if isinstance(delta, bool) or not (isinstance(delta, numbers.Real) and 0 < delta <= 1):
         raise SpecError(f"target delta must lie in (0, 1], got {delta!r}")
     return float(delta)
 

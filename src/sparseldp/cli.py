@@ -218,8 +218,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (SpecError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (SpecError, OSError, MemoryError) as err:  # sizes up to 2^53 pass validation, then fail here
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -75,15 +75,16 @@ class Kernel:
 
 
 def _check_int(name: str, value, minimum: int | None = None):
+    """An integer; given a `minimum` it is a size or count, at most 2^53 (past it floats skip integers)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise SpecError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SpecError(f"{name} must be >= {minimum}, got {value}")
+    if minimum is not None and not minimum <= value <= 2**53:
+        raise SpecError(f"{name} must be from {minimum} to 2**53, got {value}")
     return int(value)
 
 
 def _check_epsilon(epsilon) -> float:
-    if isinstance(epsilon, bool) or not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon >= 0):
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon >= 0):
         raise SpecError(f"epsilon must be a nonnegative finite number, got {epsilon!r}")
     return float(epsilon)
 

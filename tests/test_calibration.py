@@ -284,6 +284,19 @@ class TestMinFeasibleSupport:
             min_feasible_support(Kernel.laplace(0.5), 1.0, True, 3)
         with pytest.raises(SpecError, match="epsilon"):
             min_feasible_support(Kernel.laplace(0.5), True, True, 3)
+        with pytest.raises(SpecError, match="scan limit"):
+            min_feasible_support(Kernel.laplace(0.5), 1.0, 0.5, 3, s_max=2**64 + 1)
+
+    @pytest.mark.parametrize("delta", [np.float32(0.5), np.float64(0.5), np.int64(1)])
+    def test_numpy_real_delta_accepted(self, delta):
+        got = min_feasible_support(Kernel.laplace(0.5), np.float32(1.0), delta, 3)
+        assert got == min_feasible_support(Kernel.laplace(0.5), 1.0, float(delta), 3)
+        assert laplace_sufficient_support(2.0, delta, 0.5, 3) == laplace_sufficient_support(2.0, float(delta), 0.5, 3)
+
+    @pytest.mark.parametrize("delta", [np.float32("nan"), np.float64("inf"), np.float32(0.0), np.float64(1.5), np.True_])
+    def test_numpy_bools_and_bad_delta_rejected(self, delta):
+        with pytest.raises(SpecError, match="delta"):
+            min_feasible_support(Kernel.laplace(0.5), 1.0, delta, 3)
 
 
 class TestSweeps:

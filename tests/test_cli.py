@@ -101,6 +101,31 @@ class TestDefect:
         assert exc.value.code == 2
 
 
+class TestOversizedRequests:
+    # 2^53 passes validation and fails at once as MemoryError (64 PiB is past
+    # any address space); 2^64 + 1 is rejected as a size.  Both exit 2.
+    @pytest.mark.parametrize("n", [2**53, 2**64 + 1])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["defect", "--family", "laplace", "--param", "0.5", "--s", "7", "--eps", "1", "--range", "{n}", "--per-h"],
+            ["design", "--family", "laplace", "--param", "0.5", "--eps", "1", "--delta", "0.1", "--range", "{n}"],
+            ["sample", "--family", "laplace", "--param", "0.5", "--s", "7", "--x", "0", "--n", "{n}"],
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, argv, n):
+        code, out, err = run(capsys, *(a.format(n=n) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_support_size_past_2_to_53_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "defect", "--family", "laplace", "--param", "0.5", "--s", str(2**64 + 1), "--eps", "1", "--range", "3"
+        )
+        assert code == 2 and out == ""
+        assert "support size" in err and "2**53" in err
+
+
 class TestDesign:
     def test_feasible(self, capsys):
         code, out, _ = run(

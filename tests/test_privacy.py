@@ -15,8 +15,11 @@ from sparseldp import (
     pointwise_loss,
     pure_ldp_bound,
     pure_ldp_epsilon,
+    sample,
     separation_breakdown,
+    separation_profile,
     truncated_spec,
+    window_weights,
     worst_case_defect,
 )
 from conftest import random_common_support_spec, random_spec
@@ -332,6 +335,42 @@ class TestWorstCaseDefect:
         # range 0 runs no separation, so epsilon must be checked up front
         with pytest.raises(SpecError, match="epsilon"):
             worst_case_defect(Kernel.laplace(0.5), 7, eps, privacy_range)
+
+
+    @pytest.mark.parametrize("eps", [np.float32(1.0), np.float64(1.0), np.int64(1), np.int8(1)])
+    def test_numpy_reals_accepted(self, eps):
+        assert worst_case_defect(Kernel.laplace(0.5), 7, eps, 3) == worst_case_defect(Kernel.laplace(0.5), 7, 1.0, 3)
+        assert separation_breakdown(Kernel.laplace(0.5), eps, 3, 2) == separation_breakdown(Kernel.laplace(0.5), 1.0, 3, 2)
+
+    @pytest.mark.parametrize("eps", [np.float32("nan"), np.float64("inf"), np.float32(-1.0), np.True_, "1.0"])
+    def test_numpy_bools_and_bad_reals_rejected(self, eps):
+        with pytest.raises(SpecError, match="epsilon"):
+            worst_case_defect(Kernel.laplace(0.5), 7, eps, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: TruncatedParams(Kernel.laplace(0.5), n),
+        lambda n: worst_case_defect(Kernel.laplace(0.5), 7, 1.0, n),
+        lambda n: separation_breakdown(Kernel.laplace(0.5), 1.0, n, 1),
+        lambda n: separation_breakdown(Kernel.laplace(0.5), 1.0, 3, n),
+        lambda n: separation_profile(Kernel.laplace(0.5), 7, 1.0, n),
+        lambda n: gaussian_overlap_threshold(n, 1.0, 1.0),
+        lambda n: window_weights(Kernel.laplace(0.5), n),
+        lambda n: sample(TruncatedParams(Kernel.laplace(0.5), 7), 0, 0, n),
+    ],
+)
+def test_sizes_past_2_to_53_rejected(call):
+    with pytest.raises(SpecError, match=r"2\*\*53"):
+        call(2**64 + 1)
+
+
+def test_size_2_to_53_is_accepted():
+    # only the separations up to 2t + 1 are evaluated, so the huge range costs nothing
+    kernel = Kernel.laplace(0.5)
+    assert worst_case_defect(kernel, 7, 1.0, 2**53) == worst_case_defect(kernel, 7, 1.0, 7) == (1.0, 7)
+    assert separation_breakdown(kernel, 1.0, 3, 2**53).total == 1.0
 
 
 class TestGaussianOverlapThreshold:
