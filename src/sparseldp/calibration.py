@@ -83,13 +83,7 @@ def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) 
     params = TruncatedParams(Kernel.laplace(lam), s)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     epsilon = _check_epsilon(epsilon)
-    condition_overlap = lam * privacy_range <= epsilon
-    condition_size = s >= 2 * privacy_range + 1
-    if not (condition_overlap and condition_size):
-        return CleanBoundReport(False, condition_overlap, condition_size)
-    exact = separation_breakdown(params.kernel, epsilon, params.t, privacy_range).support_leakage
-    bound = privacy_range * math.exp(-lam * (params.t - privacy_range + 1))
-    return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
+    return _clean_bound(params, epsilon, privacy_range, lam * privacy_range <= epsilon)
 
 
 def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: int) -> CleanBoundReport:
@@ -101,13 +95,17 @@ def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: in
     params = TruncatedParams(Kernel.gaussian(sigma), s)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     epsilon = _check_epsilon(epsilon)
-    t = params.t
-    condition_overlap = epsilon >= privacy_range * (2 * t - privacy_range) / (2.0 * sigma * sigma)
-    condition_size = s >= 2 * privacy_range + 1
+    condition_overlap = epsilon >= privacy_range * (2 * params.t - privacy_range) / (2.0 * sigma * sigma)
+    return _clean_bound(params, epsilon, privacy_range, condition_overlap)
+
+
+def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int, condition_overlap: bool):
+    """Either family's report, given its overlap condition; the bound is range times W(t - range + 1)."""
+    condition_size = params.s >= 2 * privacy_range + 1
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
-    exact = separation_breakdown(params.kernel, epsilon, t, privacy_range).support_leakage
-    bound = privacy_range * math.exp(params.kernel.log_weight(t - privacy_range + 1))
+    exact = separation_breakdown(params.kernel, epsilon, params.t, privacy_range).support_leakage
+    bound = privacy_range * math.exp(params.kernel.log_weight(params.t - privacy_range + 1))
     return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
 
 
@@ -160,7 +158,9 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
     s_hi = math.floor(hi)
     if s_hi % 2 == 0:
         s_hi -= 1
-    return (s_lo, s_hi) if s_lo <= s_hi else None
+    if s_lo > s_hi:
+        return None
+    return (s_lo, s_hi)
 
 
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:

@@ -75,10 +75,9 @@ class Kernel:
 
 
 def _check_int(name: str, value, minimum: int | None = None):
-    """An integer; given a `minimum` it is a size or count, at most 2^53 (past it floats skip integers)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise SpecError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and not minimum <= value <= 2**53:
+    if minimum is not None and not minimum <= value <= 2**53:  # a size or count; past 2^53 floats skip integers
         raise SpecError(f"{name} must be from {minimum} to 2**53, got {value}")
     return int(value)
 
@@ -292,7 +291,10 @@ def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, 
     boundary is inclusive on the left, so u == F(y_{i-1}) selects y_i.
     """
     n = _check_int("sample count", n, 0)
-    masses = truncated_pmf(mechanism, x) if isinstance(mechanism, TruncatedParams) else mechanism.pmf(x)
+    if isinstance(mechanism, TruncatedParams):
+        masses = truncated_pmf(mechanism, x)
+    else:
+        masses = mechanism.pmf(x)
     ys = np.array(sorted(masses), dtype=np.int64)
     p = np.array([masses[int(y)] for y in ys])
     cum = np.cumsum(p)
@@ -353,14 +355,12 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
     if dist_doc is not None:
         if not isinstance(dist_doc, Mapping) or "type" not in dist_doc:
             raise SpecError('distance must be {"type": "abs"} or {"type": "matrix", "values": [[number]]}')
-        if dist_doc["type"] == "abs":
-            distance = None
-        elif dist_doc["type"] == "matrix":
+        if dist_doc["type"] == "matrix":
             values = dist_doc.get("values")
             if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
                 raise SpecError("distance matrix needs numeric values as a list of rows")
             distance = values
-        else:
+        elif dist_doc["type"] != "abs":
             raise SpecError(f"distance type must be \"abs\" or \"matrix\", got {dist_doc['type']!r}")
 
     return MechanismSpec(kernel, tuple(doc["inputs"]), tuple(doc["outputs"]), supports, distance)
