@@ -225,7 +225,7 @@ def min_feasible_support(
             table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max if table else 0), s_max // 2))
         leakage, excess, k = table.breakdown(t, hs, epsilon)
         total = (leakage + excess).max(axis=1, initial=0.0)
-        surely_above = total - table.error_bound(t[:, 0], k, epsilon) > delta  # False where NaN
+        surely_above = total - table.error_bound(t[:, 0], k, epsilon) > delta
         if surely_above.all():
             s = int(sizes[-1]) + 2
             continue

@@ -271,17 +271,18 @@ class _WindowTable:
         A total rounds by at most `rounding` times six prefixes, none past the
         window end, plus e^eps (p[a+K] + p[a]) where K > 0, over C_t
         (a = t_max - t).  The prefix is monotone, so a row's largest K covers
-        it.  NaN (inf e^eps times underflowed weights) reads as unbounded.
+        it.  Where K > 0 and e^eps overflows (eps >= 709) the bound is inf.
         """
-        p, end = self.prefix, self.t_max + 1 + t
-        p_a, p_end = p[self.t_max - t], p[end]
-        ends = 6.0 * p_end
+        p_a, p_end = self.prefix[self.t_max - t], self.prefix[self.t_max + 1 + t]
+        ends = (6.0 * self.rounding) * p_end
         q = t[-1] - k[-1].max(initial=0)  # K = max(t - q(h), 0): the least q(h), so t - q is a row's largest K
         if q < t[-1]:
-            e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                ends = ends + np.where(t > q, e_eps * (p[self.t_max - q] + p_a), 0.0)  # p[a + t - q]
-        return self.rounding * ends / (p_end - p_a)
+            i = t.searchsorted(q, "right")  # rows i.. have K > 0
+            if epsilon < 709.0:  # finite: rounding * e^eps < 4e292 and no table holds 1e15 weights
+                ends[i:] += (self.rounding * math.exp(epsilon)) * (self.prefix[self.t_max - q] + p_a[i:])  # p[a + t - q]
+            else:
+                ends[i:] = math.inf
+        return ends / (p_end - p_a)
 
 
 def _least_integer_above(ratio, epsilon: float, guess: float, cap: int) -> int:

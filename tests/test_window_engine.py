@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_breakdown, direct_design, direct_worst_case, error_cap, per_cell_error_bound
@@ -185,6 +185,9 @@ class TestErrorBound:
 
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
+    # wide kernels on much larger tables: e^eps p[a + K] and e^eps p[a] both count here
+    @example(Kernel.laplace(0.007382978945961141), 0.02518205850642663, (9, 0), 497)
+    @example(Kernel.laplace(0.022158178309758948), 0.003945304767848934, (5, 0), 1494)
     def test_at_least_the_per_cell_bound_of_every_separation(self, kernel, eps, case, extra):
         t, _ = case
         table, hs = _WindowTable(kernel, t + extra), np.arange(2 * t + 3)
@@ -197,16 +200,25 @@ class TestErrorBound:
         table = _WindowTable(kernel, t + extra)
         assert radius_bound(table, t, np.arange(2 * t + 3), eps) <= error_cap(table, t, eps)
 
+    @SETTINGS
+    @given(kernels, epsilons, st.integers(0, 300), st.integers(1, 40), st.integers(0, 200), st.integers(0, 1000))
+    def test_a_block_covers_each_radius_as_alone(self, kernel, eps, t0, rows, privacy_range, extra):
+        # the design scan bounds a block of ascending radii at once, from the block's K rows
+        t, hs = np.arange(t0, t0 + rows), np.arange(1, privacy_range + 1)
+        table = _WindowTable(kernel, int(t[-1]) + extra)
+        block = table.error_bound(t, table.breakdown(t[:, None], hs, eps)[2], eps)
+        assert all(b >= radius_bound(table, int(r), hs, eps) for b, r in zip(block, t))
+
     @pytest.mark.parametrize("kernel", [Kernel.laplace(0.5), Kernel.laplace(2.0), Kernel.gaussian(0.3), Kernel.gaussian(3.0)])
     @pytest.mark.parametrize("eps", [709.0, 800.0, 1e308])
     def test_past_the_range_of_exp(self, kernel, eps):
-        # e^eps is inf: the bound is unbounded (inf, or NaN where weights underflow) only where a term is positive
+        # e^eps overflows: the bound is inf where a term is positive, and finite elsewhere
         table = _WindowTable(kernel, 400)
         for t in (1, 30, 400):
             hs = np.arange(2 * t + 2)
             k = table.breakdown(t, hs[None, :], eps)[2]
             bound = radius_bound(table, t, hs, eps)
-            assert math.isfinite(bound) != bool(k.any())
+            assert bound == math.inf if k.any() else math.isfinite(bound)
             assert not bound > error_cap(table, t, eps)
 
 
