@@ -277,9 +277,9 @@ class _WindowTable:
         ends = (6.0 * self.rounding) * p_end
         q = t[-1] - k[-1].max(initial=0)  # K = max(t - q(h), 0): the least q(h), so t - q is a row's largest K
         if q < t[-1]:
-            i = t.searchsorted(q, "right")  # rows i.. have K > 0
+            i = t.searchsorted(q, "right")  # rows i.. have K > 0; p[a + t - q] = p[t_max - q]
             if epsilon < 709.0:  # finite: rounding * e^eps < 4e292 and no table holds 1e15 weights
-                ends[i:] += (self.rounding * math.exp(epsilon)) * (self.prefix[self.t_max - q] + p_a[i:])  # p[a + t - q]
+                ends[i:] += (self.rounding * math.exp(epsilon)) * (self.prefix[self.t_max - q] + p_a[i:])
             else:
                 ends[i:] = math.inf
         return ends / (p_end - p_a)

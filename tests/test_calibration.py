@@ -293,7 +293,9 @@ class TestMinFeasibleSupport:
         assert got == min_feasible_support(Kernel.laplace(0.5), 1.0, float(delta), 3)
         assert laplace_sufficient_support(2.0, delta, 0.5, 3) == laplace_sufficient_support(2.0, float(delta), 0.5, 3)
 
-    @pytest.mark.parametrize("delta", [np.float32("nan"), np.float64("inf"), np.float32(0.0), np.float64(1.5), np.True_])
+    @pytest.mark.parametrize(
+        "delta", [np.float32("nan"), np.float64("inf"), np.float32(0.0), np.float64(1.5), np.True_]
+    )
     def test_numpy_bools_and_bad_delta_rejected(self, delta):
         with pytest.raises(SpecError, match="delta"):
             min_feasible_support(Kernel.laplace(0.5), 1.0, delta, 3)

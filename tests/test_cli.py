@@ -120,7 +120,8 @@ class TestOversizedRequests:
 
     def test_support_size_past_2_to_53_exits_2(self, capsys):
         code, out, err = run(
-            capsys, "defect", "--family", "laplace", "--param", "0.5", "--s", str(2**64 + 1), "--eps", "1", "--range", "3"
+            capsys,
+            "defect", "--family", "laplace", "--param", "0.5", "--s", str(2**64 + 1), "--eps", "1", "--range", "3",
         )
         assert code == 2 and out == ""
         assert "support size" in err and "2**53" in err

@@ -339,8 +339,9 @@ class TestWorstCaseDefect:
 
     @pytest.mark.parametrize("eps", [np.float32(1.0), np.float64(1.0), np.int64(1), np.int8(1)])
     def test_numpy_reals_accepted(self, eps):
-        assert worst_case_defect(Kernel.laplace(0.5), 7, eps, 3) == worst_case_defect(Kernel.laplace(0.5), 7, 1.0, 3)
-        assert separation_breakdown(Kernel.laplace(0.5), eps, 3, 2) == separation_breakdown(Kernel.laplace(0.5), 1.0, 3, 2)
+        kernel = Kernel.laplace(0.5)
+        assert worst_case_defect(kernel, 7, eps, 3) == worst_case_defect(kernel, 7, 1.0, 3)
+        assert separation_breakdown(kernel, eps, 3, 2) == separation_breakdown(kernel, 1.0, 3, 2)
 
     @pytest.mark.parametrize("eps", [np.float32("nan"), np.float64("inf"), np.float32(-1.0), np.True_, "1.0"])
     def test_numpy_bools_and_bad_reals_rejected(self, eps):

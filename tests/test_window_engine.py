@@ -209,7 +209,9 @@ class TestErrorBound:
         block = table.error_bound(t, table.breakdown(t[:, None], hs, eps)[2], eps)
         assert all(b >= radius_bound(table, int(r), hs, eps) for b, r in zip(block, t))
 
-    @pytest.mark.parametrize("kernel", [Kernel.laplace(0.5), Kernel.laplace(2.0), Kernel.gaussian(0.3), Kernel.gaussian(3.0)])
+    @pytest.mark.parametrize(
+        "kernel", [Kernel.laplace(0.5), Kernel.laplace(2.0), Kernel.gaussian(0.3), Kernel.gaussian(3.0)]
+    )
     @pytest.mark.parametrize("eps", [709.0, 800.0, 1e308])
     def test_past_the_range_of_exp(self, kernel, eps):
         # e^eps overflows: the bound is inf where a term is positive, and finite elsewhere
