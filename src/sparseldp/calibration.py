@@ -9,7 +9,6 @@ tabulate the privacy/distortion tradeoff.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .mechanisms import (
     Kernel,
     SpecError,
     TruncatedParams,
+    _check_delta,
     _check_epsilon,
     _check_int,
     _window_moments,
@@ -112,12 +112,6 @@ def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int, co
 def _next_odd_at_least(value: float) -> int:
     s = math.ceil(value)
     return s if s % 2 == 1 else s + 1
-
-
-def _check_delta(delta) -> float:
-    if isinstance(delta, bool) or not (isinstance(delta, numbers.Real) and 0 < delta <= 1):
-        raise SpecError(f"target delta must lie in (0, 1], got {delta!r}")
-    return float(delta)
 
 
 def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy_range: int) -> int:

@@ -43,14 +43,10 @@ class Kernel:
     def __post_init__(self):
         if self.family not in (LAPLACE, GAUSSIAN):
             raise SpecError(f"kernel family must be {LAPLACE!r} or {GAUSSIAN!r}, got {self.family!r}")
-        if isinstance(self.param, bool) or not (
-            isinstance(self.param, numbers.Real) and math.isfinite(self.param) and self.param > 0
-        ):
-            raise SpecError(f"kernel parameter must be a positive finite number, got {self.param!r}")
-        object.__setattr__(self, "param", float(self.param))
-        if self.family == GAUSSIAN and 2.0 * self.param * self.param == 0.0:
-            # log weights divide by 2 sigma^2, which must not underflow to zero
-            raise SpecError(f"gaussian sigma {self.param!r} is too small: 2 sigma^2 underflows to 0")
+        param = _check_real("kernel parameter", self.param, "be a positive finite number", lambda v: v > 0)
+        if self.family == GAUSSIAN and 2.0 * param * param == 0.0:  # log weights divide by 2 sigma^2
+            raise SpecError(f"gaussian sigma {param!r} is too small: 2 sigma^2 underflows to 0")
+        object.__setattr__(self, "param", param)
 
     @classmethod
     def laplace(cls, lam: float) -> "Kernel":
@@ -82,10 +78,23 @@ def _check_int(name: str, value, minimum: int | None = None):
     return int(value)
 
 
+def _check_real(name: str, value, requirement: str, accept=lambda v: v >= 0, where=()) -> float:
+    """`value` as a float, if it is a real number (not a bool) whose float is finite and passes `accept` (>= 0)."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer or fraction past float range
+        real = math.nan
+    if math.isfinite(real) and accept(real):
+        return real
+    raise SpecError(f"{name.format(*where)} must {requirement}, got {value!r}")  # `where` is formatted only on failure
+
+
 def _check_epsilon(epsilon) -> float:
-    if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon >= 0):
-        raise SpecError(f"epsilon must be a nonnegative finite number, got {epsilon!r}")
-    return float(epsilon)
+    return _check_real("epsilon", epsilon, "be a nonnegative finite number")
+
+
+def _check_delta(delta) -> float:
+    return _check_real("target delta", delta, "lie in (0, 1]", lambda v: 0 < v <= 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,16 +144,14 @@ class MechanismSpec:
             raise SpecError(f"input {missing[0]} has no support set")
         object.__setattr__(self, "supports", supports)
         if self.distance is not None:
-            rows = tuple(tuple(row) for row in self.distance)
-            if len(rows) != len(self.inputs) or any(len(r) != len(self.outputs) for r in rows):
-                raise SpecError(
-                    f"distance matrix must be {len(self.inputs)} x {len(self.outputs)} (inputs x outputs)"
+            rows = tuple(
+                tuple(
+                    _check_real("distance[{}][{}]", v, "be a finite number >= 0", where=(i, j)) for j, v in enumerate(r)
                 )
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0):
-                        raise SpecError(f"distance[{i}][{j}] must be a finite number >= 0, got {v!r}")
-            rows = tuple(tuple(float(v) for v in row) for row in rows)
+                for i, r in enumerate(self.distance)
+            )
+            if len(rows) != len(self.inputs) or any(len(r) != len(self.outputs) for r in rows):
+                raise SpecError(f"distance matrix must be {len(self.inputs)} x {len(self.outputs)} (inputs x outputs)")
             for i, x in enumerate(self.inputs):
                 if x in index and rows[i][index[x]] != 0.0:
                     raise SpecError(f"distance from input {x} to itself must be 0")

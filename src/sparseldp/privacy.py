@@ -23,6 +23,7 @@ from .mechanisms import (
     TruncatedParams,
     _check_epsilon,
     _check_int,
+    _check_real,
 )
 
 
@@ -104,9 +105,7 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
 
 def pure_ldp_bound(lam: float, diameter: float, log_normalizer_ratio: float = 0.0) -> float:
     """Upper bound lam * diameter + log-normalizer term on the exact pure level."""
-    if diameter < 0:
-        raise SpecError(f"diameter must be >= 0, got {diameter}")
-    return lam * diameter + log_normalizer_ratio
+    return lam * _check_real("diameter", diameter, "be >= 0") + log_normalizer_ratio
 
 
 def ordered_defect(spec: MechanismSpec, x: int, x_prime: int, epsilon: float) -> DefectBreakdown:
