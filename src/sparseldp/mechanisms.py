@@ -294,15 +294,23 @@ def _window_moments(weights: np.ndarray) -> DistortionMoments:
 def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, n: int) -> np.ndarray:
     """Draw n outputs for input x, deterministic for a fixed seed.
 
-    Inverse-CDF over the support in ascending output order; the cumulative
-    boundary is inclusive on the left, so u == F(y_{i-1}) selects y_i.
+    The seed must be an integer >= 0 (not a bool), of any size; the same
+    seed gives the same draws.  Every support symbol must fit a 64-bit
+    integer.  Inverse-CDF over the support in ascending output order; the
+    cumulative boundary is inclusive on the left, so u == F(y_{i-1})
+    selects y_i.
     """
     n = _check_int("sample count", n, 0)
+    if _check_int("seed", seed) < 0:
+        raise SpecError(f"seed must be an integer >= 0, got {seed}")
     if isinstance(mechanism, TruncatedParams):
         masses = truncated_pmf(mechanism, x)
     else:
         masses = mechanism.pmf(x)
-    ys = np.array(sorted(masses), dtype=np.int64)
+    try:
+        ys = np.array(sorted(masses), dtype=np.int64)
+    except OverflowError:
+        raise SpecError(f"the support of input {x} has symbols outside the 64-bit integer range") from None
     p = np.array([masses[int(y)] for y in ys])
     cum = np.cumsum(p)
     u = np.random.default_rng(seed).random(n)
@@ -378,6 +386,6 @@ def load_spec(path) -> MechanismSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # undecodable bytes, bad syntax, too-deep nesting, too many digits
         raise SpecError(f"invalid JSON in {path}: {err}") from None
     return spec_from_dict(doc)

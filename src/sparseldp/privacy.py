@@ -132,12 +132,14 @@ def ordered_defect(spec: MechanismSpec, x: int, x_prime: int, epsilon: float) ->
 
 
 def _check_prob_vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    try:
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError("p and q must be vectors of real numbers within float range") from None
     if p.ndim != 1 or p.shape != q.shape:
         raise SpecError("p and q must be one-dimensional vectors of equal length")
     for name, v in (("p", p), ("q", q)):
-        if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-9:
+        if not (np.all(v >= 0) and abs(float(v.sum()) - 1.0) <= 1e-9):  # NaN fails both
             raise SpecError(f"{name} is not a probability vector (nonnegative, summing to 1)")
     return p, q
 

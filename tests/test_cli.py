@@ -311,6 +311,31 @@ class TestCheckPure:
         code, _, err = run(capsys, "check-pure", "--spec", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(COMMON_SPEC, kernel={"family": "laplace", "param": 10**400}),
+            dict(COMMON_SPEC, distance={"type": "matrix", "values": [[0, 10**400], [1, 0]]}),
+        ],
+        ids=["kernel-param", "matrix-entry"],
+    )
+    def test_integer_past_float_range_exits_2(self, capsys, tmp_path, doc):
+        code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b"[" * 200_000, b'{"kernel": {"family": "laplace", "param": ' + b"1" * 5000 + b"}}"],
+        ids=["undecodable", "too-deep", "too-many-digits"],
+    )
+    def test_unreadable_json_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "check-pure", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestSample:
     def test_degenerate_draws(self, capsys):
@@ -361,3 +386,18 @@ class TestSample:
             capsys, "sample", "--family", "laplace", "--param", "1", "--s", "3", "--x", "0", "--n", "-1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--x", "0", "--seed", "-1"], "seed"), (["--x", str(2**63 - 1)], "64-bit")],
+        ids=["negative-seed", "symbol-past-int64"],
+    )
+    def test_bad_seed_or_symbol_exits_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "sample", "--family", "laplace", "--param", "0.5", "--s", "3", "--n", "2", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_large_seed_draws(self, capsys):
+        argv = ["sample", "--family", "laplace", "--param", "0.5", "--s", "3", "--x", "0", "--n", "5", "--seed"]
+        code, out, _ = run(capsys, *argv, str(2**70))
+        assert code == 0 and len(out.splitlines()) == 5
