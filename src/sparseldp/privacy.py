@@ -105,7 +105,9 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
 
 def pure_ldp_bound(lam: float, diameter: float, log_normalizer_ratio: float = 0.0) -> float:
     """Upper bound lam * diameter + log-normalizer term on the exact pure level."""
-    return lam * _check_real("diameter", diameter, "be >= 0") + log_normalizer_ratio
+    diameter = _check_real("diameter", diameter, "be >= 0")
+    ratio = _check_real("log-normalizer ratio", log_normalizer_ratio, "be a finite number", lambda v: True)
+    return Kernel.laplace(lam).param * diameter + ratio
 
 
 def ordered_defect(spec: MechanismSpec, x: int, x_prime: int, epsilon: float) -> DefectBreakdown:

@@ -26,6 +26,7 @@ from sparseldp import (
     laplace_clean_bound,
     laplace_sufficient_support,
     min_feasible_support,
+    pure_ldp_bound,
     sample,
     separation_breakdown,
     separation_profile,
@@ -38,7 +39,7 @@ NUMPY = [np.float64(0.5), np.int64(3), np.float32(2.0), np.uint8(1)]
 ORDINARY = [0, 1, 2, 3, 7, -1, 0.5, 1.0, 1e-3, -0.5]
 VALUES = st.sampled_from(MALFORMED + NUMPY + ORDINARY)
 
-LAPLACE, GAUSSIAN = Kernel.laplace(0.5), Kernel.gaussian(2.0)
+LAPLACE = Kernel.laplace(0.5)
 PAIR = MechanismSpec(LAPLACE, (0, 1), (0, 1), {0: (0, 1), 1: (0, 1)})
 WINDOW = TruncatedParams(LAPLACE, 3)
 
@@ -60,6 +61,7 @@ CALLS = {
     ),
     "brute_force_defect": lambda family, a, b, c: brute_force_defect([a, 0.5], [0.5, b], c),
     "exhaustive_event_defect": lambda family, a, b, c: exhaustive_event_defect([0.5, a], [b, 0.5], c),
+    "pure_ldp_bound": lambda family, a, b, c: pure_ldp_bound(a, b, c),
     "sample window": lambda family, a, b: sample(WINDOW, a, b, 3),
     "sample spec": lambda family, a, b: sample(PAIR, a, b, 3),
 }
