@@ -79,7 +79,7 @@ def _check_int(name: str, value, minimum: int | None = None):
 
 
 def _check_real(name: str, value, requirement: str, accept=lambda v: v >= 0, where=()) -> float:
-    """`value` as a float, if it is a real number (not a bool) whose float is finite and passes `accept` (>= 0)."""
+    """`value` as a float if it is a real number, not a bool, whose float is finite and passes `accept` (>= 0)."""
     try:
         real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer or fraction past float range

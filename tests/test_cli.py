@@ -396,8 +396,3 @@ class TestSample:
         code, out, err = run(capsys, "sample", "--family", "laplace", "--param", "0.5", "--s", "3", "--n", "2", *flags)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
-
-    def test_large_seed_draws(self, capsys):
-        argv = ["sample", "--family", "laplace", "--param", "0.5", "--s", "3", "--x", "0", "--n", "5", "--seed"]
-        code, out, _ = run(capsys, *argv, str(2**70))
-        assert code == 0 and len(out.splitlines()) == 5
