@@ -115,25 +115,26 @@ def ordered_defect(spec: MechanismSpec, x: int, x_prime: int, epsilon: float) ->
 
     Support leakage is the mass of S(x) \\ S(x_prime) under x; overlap excess
     is the positive-part sum over shared outputs.  Positive parts use exact
-    comparison, so a term that is exactly zero contributes nothing.
+    comparison, so a term that is exactly zero contributes nothing.  Every
+    finite epsilon >= 0 is answered; from 709 up, e^eps q is exp(min(eps + log q, 700)).
     """
     epsilon = _check_epsilon(epsilon)
     p = spec.pmf(x)
     q = spec.pmf(x_prime)
-    e_eps = math.exp(epsilon)
-    leakage = 0.0
-    excess = 0.0
+    shifted = dict(zip(q, _times_exp(np.array(list(q.values())), epsilon).tolist()))
+    leakage = excess = 0.0
     for y, py in p.items():
         qy = q.get(y)
         if qy is None:
             leakage += py
-        else:
-            # qy can underflow to 0.0; e^eps * 0 is exactly 0 for finite eps
-            excess += max(0.0, py - e_eps * qy) if qy > 0.0 else py
+        else:  # qy can underflow to 0.0, where the whole py is excess
+            excess += max(0.0, py - shifted[y]) if qy > 0.0 else py
     return DefectBreakdown(leakage, excess)
 
 
-def _check_prob_vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
+def _gap(p, q, epsilon: float) -> np.ndarray:
+    """p_y - e^eps q_y per output (p_y where q_y is 0), after checking that p and q are probability vectors."""
+    epsilon = _check_epsilon(epsilon)
     try:
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -143,37 +144,42 @@ def _check_prob_vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
     for name, v in (("p", p), ("q", q)):
         if not (np.all(v >= 0) and abs(float(v.sum()) - 1.0) <= 1e-9):  # NaN fails both
             raise SpecError(f"{name} is not a probability vector (nonnegative, summing to 1)")
-    return p, q
+    return np.where(q > 0.0, p - _times_exp(q, epsilon), p)
 
 
 def brute_force_defect(p, q, epsilon: float) -> float:
     """Positive-part divergence sum over a common output list.
 
     Independent of the support-based decomposition: takes two plain
-    probability vectors and sums max(0, p_y - e^eps q_y).
+    probability vectors and sums max(0, p_y - e^eps q_y).  Every finite
+    epsilon >= 0 is answered; from 709 up, e^eps q is exp(min(eps + log q, 700)).
     """
-    epsilon = _check_epsilon(epsilon)
-    p, q = _check_prob_vectors(p, q)
-    gap = np.where(q > 0.0, p - math.exp(epsilon) * q, p)
-    return float(np.sum(np.maximum(gap, 0.0)))
+    return float(np.sum(np.maximum(_gap(p, q, epsilon), 0.0)))
 
 
 def exhaustive_event_defect(p, q, epsilon: float) -> float:
     """Max over all output events of p(A) - e^eps q(A), by full enumeration.
 
     Third route to the same quantity as `brute_force_defect`, kept separate
-    so each can check the other.  Exponential in the alphabet size.
+    so each can check the other.  Exponential in the alphabet size.  Every
+    finite epsilon >= 0 is answered; from 709 up, e^eps q is exp(min(eps + log q, 700)).
     """
-    epsilon = _check_epsilon(epsilon)
-    p, q = _check_prob_vectors(p, q)
-    m = p.shape[0]
-    if m > 16:
-        raise SpecError(f"event enumeration is limited to 16 outputs, got {m}")
-    gap = np.where(q > 0.0, p - math.exp(epsilon) * q, p)
-    masks = (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+    gap = _gap(p, q, epsilon)
+    if gap.size > 16:
+        raise SpecError(f"event enumeration is limited to 16 outputs, got {gap.size}")
+    masks = (np.arange(1 << gap.size, dtype=np.int64)[:, None] >> np.arange(gap.size)) & 1
     return float(np.max(masks @ gap))
 
 
+def _times_exp(mass: np.ndarray, epsilon: float) -> np.ndarray:
+    """e^eps * mass: the plain product below eps = 709, else exp(min(eps + log mass, 700)), 0 where mass is 0."""
+    if epsilon < _EXP_LIMIT:
+        return mass * math.exp(epsilon)
+    with np.errstate(divide="ignore"):  # e^700 = 1e304 exceeds every mass, and 16 of them still sum finitely
+        return np.exp(np.minimum(epsilon + np.log(mass), 700.0))
+
+
+_EXP_LIMIT = 709.0  # e^eps overflows past 709.78
 # a log-ratio must beat epsilon after shrinking by 8 roundings to count as positive
 _UNTIED = 1.0 - 2.0**-50
 
@@ -236,10 +242,10 @@ class _WindowTable:
     def breakdown(self, t, h, epsilon: float):
         """Leakage, overlap excess and K(h) of radius-t windows h apart, broadcast over arrays.
 
-        Leakage is G_t(h) / C_t; the excess is
-        (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, exactly 0 when K = 0 (and
-        not computed when K is 0 at every (t, h)).  Separations beyond 2t give
-        exactly (1, 0).  K is what `error_bound` reads; other callers drop it.
+        Leakage is G_t(h) / C_t; the excess is (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t,
+        exactly 0 when K = 0 (and not computed when K is 0 at every (t, h)).  Every
+        finite eps >= 0 is answered: e^eps G_t(K) is formed by `_times_exp`.  Separations
+        beyond 2t give exactly (1, 0).  K is what `error_bound` reads; others drop it.
         """
         t, h = np.asarray(t), np.asarray(h)
         some_disjoint = h.max(initial=0) > 2 * t.min(initial=self.t_max)  # no grid work when false
@@ -254,13 +260,7 @@ class _WindowTable:
         k = self.positive_terms(t, h, epsilon)
         excess = np.zeros(leakage.shape)
         if k.any():
-            p_k, p_hk = p[a + k], p[ah + k]
-            if epsilon < 709.0:
-                shifted = (p_k - p_a) * math.exp(epsilon)
-            else:  # e^eps overflows; only weights below e^-eps can enter the tail sum
-                with np.errstate(divide="ignore"):
-                    shifted = np.exp(epsilon + np.log(p_k - p_a))
-            excess = np.maximum(p_hk - p_h - shifted, 0.0) / c  # exactly 0 where k = 0
+            excess = np.maximum(p[ah + k] - p_h - _times_exp(p[a + k] - p_a, epsilon), 0.0) / c  # 0 where k = 0
             excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
         if some_disjoint:
             leakage = np.where(disjoint, 1.0, leakage)
@@ -274,14 +274,14 @@ class _WindowTable:
         A total rounds by at most `rounding` times six prefixes, none past the
         window end, plus e^eps (p[a+K] + p[a]) where K > 0, over C_t
         (a = t_max - t).  The prefix is monotone, so a row's largest K covers
-        it.  Where K > 0 and e^eps overflows (eps >= 709) the bound is inf.
+        it.  Where K > 0 and `_times_exp` takes logs (eps >= 709), it is inf.
         """
         p_a, p_end = self.prefix[self.t_max - t], self.prefix[self.t_max + 1 + t]
         ends = (6.0 * self.rounding) * p_end
         q = t[-1] - k[-1].max(initial=0)  # K = max(t - q(h), 0): the least q(h), so t - q is a row's largest K
         if q < t[-1]:
             i = t.searchsorted(q, "right")  # rows i.. have K > 0; p[a + t - q] = p[t_max - q]
-            if epsilon < 709.0:  # finite: rounding * e^eps < 4e292 and no table holds 1e15 weights
+            if epsilon < _EXP_LIMIT:  # finite: rounding * e^eps < 4e292 and no table holds 1e15 weights
                 ends[i:] += (self.rounding * math.exp(epsilon)) * (self.prefix[self.t_max - q] + p_a[i:])
             else:
                 ends[i:] = math.inf
