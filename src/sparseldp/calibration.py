@@ -22,6 +22,7 @@ from .mechanisms import (
     _check_delta,
     _check_epsilon,
     _check_int,
+    _check_real,
     _window_moments,
 )
 from .privacy import _WindowTable, _worst_case, separation_breakdown
@@ -110,7 +111,8 @@ def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int, co
 
 
 def _next_odd_at_least(value: float) -> int:
-    s = math.ceil(value)
+    """Smallest odd integer >= value; a value past float range (inf or NaN) raises SpecError."""
+    s = math.ceil(_check_real("support size bound", value, "be within float range", lambda v: True))
     return s if s % 2 == 1 else s + 1
 
 
@@ -129,7 +131,7 @@ def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy
         raise SpecError(
             f"leakage-only bound needs lam * range <= epsilon, got {lam} * {privacy_range} > {epsilon}"
         )
-    formula = 2 * privacy_range - 1 + (2.0 / lam) * math.log(privacy_range / delta)
+    formula = 2 * privacy_range - 1 + 2.0 * math.log(privacy_range / delta) / lam
     return max(_next_odd_at_least(formula), 2 * privacy_range + 1)
 
 
@@ -139,37 +141,43 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
     The lower end comes from the leakage tail, the upper end from the
     quadratic overlap condition; between them every odd size meets the
     target.  The log term is clamped at 0 when delta >= range, where the
-    tail requirement is vacuous.
+    tail requirement is vacuous.  The upper end stops at 2**53 - 1, the
+    largest size the library accepts.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 1)
     Kernel.gaussian(sigma)
     log_term = max(0.0, math.log(privacy_range / delta))
-    lo = max(2 * privacy_range - 1 + 2.0 * math.sqrt(2.0 * sigma * sigma * log_term), 2 * privacy_range + 1)
-    hi = privacy_range + 1 + 2.0 * sigma * sigma * epsilon / privacy_range
+    lo = max(2 * privacy_range - 1 + 2.0 * sigma * math.sqrt(2.0 * log_term), 2 * privacy_range + 1)
+    hi = privacy_range + 1 + 2.0 * sigma * (sigma * epsilon) / privacy_range
     s_lo = _next_odd_at_least(lo)
-    s_hi = math.floor(hi)
-    if s_hi % 2 == 0:
-        s_hi -= 1
+    s_hi = -_next_odd_at_least(-min(hi, 2.0**53))  # the largest odd size <= hi
     if s_lo > s_hi:
         return None
     return (s_lo, s_hi)
 
 
+_MAX_SIZE = 2**53 - 1
+
+
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
     # the cap covers the leakage tail for moderate delta; where a tail bound
-    # certifies a feasible size, the scan always reaches that size too
+    # certifies a feasible size, the scan always reaches that size too.  It
+    # stops at 2^53 - 1, the largest size `_check_int` accepts; a cap already
+    # there (lam < 4.4e-15, sigma > 3.3e7) needs no tail bound, which could
+    # be past float range.
     if kernel.family == LAPLACE:
-        cap = 2 * privacy_range + 1 + math.ceil(40.0 / kernel.param)
-        if 0 < privacy_range and kernel.param * privacy_range <= epsilon:
+        cap = 2 * privacy_range + 1 + math.ceil(min(40.0 / kernel.param, 2.0**53))
+        if 0 < privacy_range and kernel.param * privacy_range <= epsilon and cap < _MAX_SIZE:
             cap = max(cap, laplace_sufficient_support(epsilon, delta, kernel.param, privacy_range))
     else:
-        cap = 2 * privacy_range + 1 + math.ceil(8.0 * kernel.param * kernel.param) + 2 * privacy_range
-        window = gaussian_support_window(epsilon, delta, kernel.param, privacy_range) if privacy_range else None
+        cap = 4 * privacy_range + 1 + math.ceil(min(8.0 * kernel.param * kernel.param, 2.0**53))
+        certified = privacy_range and cap < _MAX_SIZE
+        window = gaussian_support_window(epsilon, delta, kernel.param, privacy_range) if certified else None
         if window is not None:
             cap = max(cap, window[0])
-    return cap if cap % 2 == 1 else cap + 1
+    return _next_odd_at_least(min(cap, _MAX_SIZE))
 
 
 # grid entries (sizes x separations) evaluated per step of the design scan

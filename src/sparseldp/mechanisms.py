@@ -172,23 +172,24 @@ class MechanismSpec:
         object.__setattr__(self, "_log_weights", log_weights)
 
     def support(self, x: int) -> tuple[int, ...]:
-        """Admissible outputs for input x, ascending."""
+        """Admissible outputs for input x, ascending; x must be a declared integer input (not a bool)."""
         try:
-            return self.supports[x]
+            return self.supports[_check_int("input symbol", x)]
         except KeyError:
             raise UnknownInputError(f"input {x} is not declared by this channel") from None
 
     def dist(self, x: int, y: int) -> float:
+        """Distance from declared input x to declared output y."""
+        self.support(x)
+        j = self._index.get(_check_int("output symbol", y))
+        if j is None:
+            raise SpecError(f"output {y} is not declared by this channel")
+        if self.distance is not None:
+            return self.distance[self.inputs.index(x)][j]
         try:
-            if self.distance is None:
-                return float(abs(x - y))
-            return self.distance[self.inputs.index(x)][self._index[y]]
+            return float(abs(x - y))
         except OverflowError:
             raise SpecError(f"distance from {x} to {y} is too large for a float") from None
-        except ValueError:
-            raise UnknownInputError(f"input {x} is not declared by this channel") from None
-        except KeyError:
-            raise SpecError(f"output {y} is not declared by this channel") from None
 
     def normalizer(self, x: int) -> float:
         """Sum of kernel weights over S(x); at least 1 when x is in its own support."""

@@ -63,7 +63,7 @@ def _log_normalizer(row: np.ndarray) -> float:
 def pointwise_loss(spec: MechanismSpec, x: int, x_prime: int, y: int) -> float:
     """Log-likelihood ratio log Q(y|x) / Q(y|x_prime) on the support overlap."""
     sup, sup_prime = spec.support(x), spec.support(x_prime)
-    if y not in sup or y not in sup_prime:
+    if _check_int("output symbol", y) not in sup or y not in sup_prime:
         raise SpecError(f"output {y} is outside the support overlap of inputs {x} and {x_prime}")
     lw, lw_prime = spec._log_weights[x], spec._log_weights[x_prime]
     gap = float(lw[sup.index(y)] - lw_prime[sup_prime.index(y)])
@@ -363,4 +363,4 @@ def gaussian_overlap_threshold(separation: int, sigma: float, epsilon: float) ->
     h = _check_int("separation", separation, 1)
     sigma = Kernel.gaussian(sigma).param
     epsilon = _check_epsilon(epsilon)
-    return h / 2.0 - (sigma * sigma * epsilon) / h
+    return h / 2.0 - sigma * (sigma * epsilon) / h  # sigma * sigma alone can overflow

@@ -179,6 +179,13 @@ class TestGaussianSupportWindow:
     def test_empty_window(self):
         assert gaussian_support_window(1.0, 0.35, 2.0, 2) is None
 
+    def test_upper_end_is_rounded_down_to_odd(self):
+        # hi = 1 + 1 + 2 * 2.45 = 6.9, so the largest odd size is 5, not 7
+        assert gaussian_support_window(2.45, 0.9, 1.0, 1) == (3, 5)
+
+    def test_upper_end_stops_at_2_to_53(self):
+        assert gaussian_support_window(1e3, 0.5, 1e7, 1)[1] == 2**53 - 1
+
     def test_log_clamp_when_delta_meets_range(self):
         window = gaussian_support_window(10.0, 1.0, 1.0, 1)
         assert window is not None

@@ -160,6 +160,16 @@ class TestDesign:
         assert code == 0
         assert json.loads(out)["s"] == 1
 
+    @pytest.mark.parametrize("family, param", [("gaussian", "1e200"), ("laplace", "1e-320")])
+    def test_kernels_with_flat_windows(self, capsys, family, param):
+        # every window weight is 1, and the size formulas are past float range
+        code, out, _ = run(
+            capsys, "design", "--family", family, "--param", param, "--eps", "1", "--delta", "0.1", "--range", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["s"] == 21
+
     def test_bad_delta_exits_2(self, capsys):
         code, _, err = run(
             capsys, "design", "--family", "laplace", "--param", "0.5", "--eps", "1", "--delta", "0", "--range", "3"

@@ -2,11 +2,12 @@
 
 Malformed values (bools, NaN, infinities, integers past float range, strings,
 None) must be rejected with SpecError, never with another exception; numpy
-scalars and ordinary numbers must give a result or a SpecError for being out
-of range.
+scalars and ordinary numbers, extreme ones included, must give a result
+without NaN or a SpecError for being out of range.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sparseldp import (
     laplace_clean_bound,
     laplace_sufficient_support,
     min_feasible_support,
+    ordered_defect,
     pure_ldp_bound,
     sample,
     separation_breakdown,
@@ -36,7 +38,7 @@ from sparseldp import (
 
 MALFORMED = [True, False, math.nan, math.inf, -math.inf, 10**400, -(10**400), "1", None, np.bool_(True)]
 NUMPY = [np.float64(0.5), np.int64(3), np.float32(2.0), np.uint8(1)]
-ORDINARY = [0, 1, 2, 3, 7, -1, 0.5, 1.0, 1e-3, -0.5]
+ORDINARY = [0, 1, 2, 3, 7, -1, 0.5, 1.0, 1e-3, -0.5, 800.0, 1e308, 1e-320, 1e200]
 VALUES = st.sampled_from(MALFORMED + NUMPY + ORDINARY)
 
 LAPLACE = Kernel.laplace(0.5)
@@ -74,9 +76,39 @@ def test_returns_or_raises_spec_error(name, family, data):
     call = CALLS[name]
     args = data.draw(st.tuples(*[VALUES] * (call.__code__.co_argcount - 1)), label="args")
     try:
-        call(family, *args)
+        result = call(family, *args)
     except SpecError:
-        pass
+        return
+    assert not re.search(r"\bnan\b", repr(result)), result
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: brute_force_defect([0.5, 0.5], [0.5, 0.5], 800.0), 0.0),
+        (lambda: exhaustive_event_defect([0.5, 0.5], [0.5, 0.5], 800.0), 0.0),
+        (lambda: ordered_defect(PAIR, 0, 1, 1e308).total, 0.0),
+        (lambda: gaussian_overlap_threshold(1, 1e300, 0.0), 0.5),
+        (lambda: gaussian_support_window(0.0, 1.0, 1e200, 1), None),  # lo = 3 > hi = 2
+        (lambda: gaussian_support_window(0.5, 0.5, 1e300, 2), None),  # lo is past 2**53 - 1
+        (lambda: gaussian_support_window(1e308, 0.5, 1.0, 1), (5, 2**53 - 1)),
+        (lambda: laplace_sufficient_support(1.0, 1.0, 1e-320, 1), 3),
+        (lambda: min_feasible_support(Kernel.gaussian(1e200), 1.0, 0.1, 2).s_chosen, 21),
+        (lambda: min_feasible_support(Kernel.laplace(1e-320), 1.0, 0.1, 2).s_chosen, 21),
+        (lambda: min_feasible_support(Kernel.gaussian(1.0), 1e308, 0.5, 1).s_chosen, 3),
+    ],
+    ids=["brute eps 800", "events eps 800", "ordered eps 1e308", "threshold sigma 1e300", "window sigma 1e200",
+         "window sigma 1e300", "window eps 1e308", "sufficient lam 1e-320", "design sigma 1e200",
+         "design lam 1e-320", "design eps 1e308"],
+)
+def test_extreme_valid_values_are_answered(call, expected):
+    assert call() == expected
+
+
+def test_size_bound_past_float_range_is_a_spec_error():
+    # (2 / lam) log(range / delta) is about 4.6e320
+    with pytest.raises(SpecError, match="float range"):
+        laplace_sufficient_support(1.0, 0.1, 1e-320, 2)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from sparseldp import (
     laplace_clean_bound,
     load_spec,
     min_feasible_support,
+    ordered_defect,
+    pointwise_loss,
     sample,
     spec_from_dict,
     sweep_support,
@@ -259,6 +261,52 @@ class TestSample:
         spec = laplace_window(0.5, 1)
         with pytest.raises(UnknownInputError):
             sample(spec, 3, 0, 1)
+
+
+ABS_SPEC = MechanismSpec(Kernel.laplace(0.5), (0, 1), (0, 1, 2), {0: (0, 1), 1: (1, 2)})
+MATRIX_SPEC = MechanismSpec(
+    Kernel.laplace(0.5), (0, 1), (0, 1, 2), {0: (0, 1), 1: (1, 2)}, ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+)
+
+
+class TestSymbolLookup:
+    @pytest.mark.parametrize("x", [True, 1.0, np.bool_(True), np.float64(1.0), "1", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, x: spec.support(x),
+            lambda spec, x: spec.pmf(x),
+            lambda spec, x: spec.pmf_vector(x),
+            lambda spec, x: spec.normalizer(x),
+            lambda spec, x: sample(spec, x, 0, 3),
+            lambda spec, x: ordered_defect(spec, x, 0, 1.0),
+            lambda spec, x: pointwise_loss(spec, x, 0, 1),
+            lambda spec, x: pointwise_loss(spec, 0, 1, x),
+            lambda spec, x: spec.dist(x, 0),
+            lambda spec, x: spec.dist(0, x),
+        ],
+        ids=["support", "pmf", "pmf_vector", "normalizer", "sample", "ordered_defect", "pointwise_loss x",
+             "pointwise_loss y", "dist x", "dist y"],
+    )
+    def test_symbols_that_are_not_integers_rejected(self, call, x):
+        # True and 1.0 hash like input 1, so a plain dict lookup would accept them
+        with pytest.raises(SpecError, match="must be an integer"):
+            call(ABS_SPEC, x)
+
+    def test_numpy_integers_accepted(self):
+        assert ABS_SPEC.pmf(np.int64(1)) == ABS_SPEC.pmf(1)
+        assert np.array_equal(sample(ABS_SPEC, np.uint8(1), 0, 20), sample(ABS_SPEC, 1, 0, 20))
+        assert ABS_SPEC.dist(np.int32(0), np.int64(2)) == MATRIX_SPEC.dist(np.int32(0), np.int64(2)) == 2.0
+
+    @pytest.mark.parametrize("spec", [ABS_SPEC, MATRIX_SPEC], ids=["abs", "matrix"])
+    def test_dist_rejects_undeclared_input(self, spec):
+        with pytest.raises(UnknownInputError, match="input 999"):
+            spec.dist(999, 0)
+
+    @pytest.mark.parametrize("spec", [ABS_SPEC, MATRIX_SPEC], ids=["abs", "matrix"])
+    def test_dist_rejects_undeclared_output(self, spec):
+        with pytest.raises(SpecError, match="output 999"):
+            spec.dist(0, 999)
 
 
 class TestSpecValidation:

@@ -141,7 +141,7 @@ class TestFarSupport:
         # |x - y| has no float: SpecError, not OverflowError
         with pytest.raises(SpecError, match="too large for a float"):
             MechanismSpec(Kernel.laplace(1.0), (0,), (10**320,), {0: (10**320,)})
-        spec = MechanismSpec(Kernel.laplace(1.0), (0,), (1,), {0: (1,)})
+        spec = MechanismSpec(Kernel.laplace(1.0), (0,), (1, 10**320), {0: (1,)})
         with pytest.raises(SpecError, match="too large for a float"):
             spec.dist(0, 10**320)
 
