@@ -148,3 +148,13 @@ def error_cap(table, t, epsilon):
     p, end = table.prefix, table.t_max + 1 + t
     e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
     return table.rounding * (6.0 + 2.0 * e_eps) * p[end] / (p[end] - p[table.t_max - t])
+
+
+def plain_gap(p, q, epsilon):
+    """p_y - e^eps q_y per output, p_y where q_y is 0, with e^eps from `math.exp`.
+
+    The vector defect routes must give exactly these floats below eps = 709,
+    where `math.exp` cannot overflow.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return np.where(q > 0.0, p - math.exp(epsilon) * q, p)

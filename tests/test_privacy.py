@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseldp import (
     Kernel,
@@ -22,7 +25,7 @@ from sparseldp import (
     window_weights,
     worst_case_defect,
 )
-from conftest import random_common_support_spec, random_spec
+from conftest import plain_gap, random_common_support_spec, random_spec
 from sparseldp.privacy import _WindowTable
 
 
@@ -237,6 +240,71 @@ class TestBruteForce:
             exhaustive_event_defect(p, p, 0.0)
 
 
+def positive_part_sum(p, q, epsilon):
+    """sum of max(0, p_y - e^eps q_y) over the given floats, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        e_eps = mpmath.exp(mpmath.mpf(epsilon))
+        return float(sum(max(mpmath.mpf(0), mpmath.mpf(a) - e_eps * mpmath.mpf(b)) for a, b in zip(p, q)))
+
+
+# Laplace lam = 1: input 730's masses at outputs 0 and 1 are about e^-730 and e^-729,
+# so x = 0 against 730 keeps a positive excess past eps = 709
+FAR = MechanismSpec(Kernel.laplace(1.0), (0, 730), (0, 1, 730), {0: (0, 1), 730: (0, 1, 730)})
+PAST_EXP = [709.9, 720.0, 745.0, 800.0, 1e308]
+
+
+class TestPastTheRangeOfExp:
+    @pytest.mark.parametrize("eps, expected", zip(PAST_EXP, [0.499999999999999, 0.4999999999756885, 0.0, 0.0, 0.0]))
+    def test_smallest_subnormal_q(self, eps, expected):
+        p, q = [0.5, 0.5], [1.0, 2.0**-1074]
+        assert brute_force_defect(p, q, eps) == expected
+        assert exhaustive_event_defect(p, q, eps) == expected
+        assert positive_part_sum(p, q, eps) == expected
+
+    @pytest.mark.parametrize("eps", PAST_EXP)
+    @pytest.mark.parametrize(
+        "p, q",
+        [([0.2, 0.3, 0.5], [1.0, 1e-310, 1e-320]), ([0.1] * 10, [0.1] * 10), ([0.25] * 4, [0.0, 0.5, 0.5, 0.0])],
+    )
+    def test_vector_routes_match_50_digits(self, p, q, eps):
+        ref = positive_part_sum(p, q, eps)
+        assert brute_force_defect(p, q, eps) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert exhaustive_event_defect(p, q, eps) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps", PAST_EXP)
+    def test_ordered_defect_matches_50_digits(self, eps):
+        p, q = FAR.pmf_vector(0), FAR.pmf_vector(730)
+        b = ordered_defect(FAR, 0, 730, eps)
+        assert b.support_leakage == 0.0
+        assert b.total == pytest.approx(positive_part_sum(p, q, eps), rel=1e-12, abs=0.0)
+        assert ordered_defect(FAR, 730, 0, eps).support_leakage == FAR.pmf(730)[730]
+
+    def test_positive_excess_survives_past_709(self):
+        assert ordered_defect(FAR, 0, 730, 720.0).overlap_excess > 0.99
+
+    def test_ordered_defect_returns_plain_floats(self):
+        b = ordered_defect(FAR, 0, 730, 800.0)
+        assert all(type(v) is float for v in (b.support_leakage, b.overlap_excess, b.total))
+
+
+@st.composite
+def probability_pairs(draw):
+    m = draw(st.integers(1, 10))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0.0)
+    p, q = (np.array(draw(weights)) for _ in range(2))
+    return p / p.sum(), q / q.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=probability_pairs(), eps=st.floats(0.0, 709.0, exclude_max=True))
+def test_vector_routes_are_the_plain_product_below_709(pair, eps):
+    p, q = pair
+    gap = plain_gap(p, q, eps)
+    masks = (np.arange(1 << gap.size)[:, None] >> np.arange(gap.size)) & 1
+    assert brute_force_defect(p, q, eps) == float(np.sum(np.maximum(gap, 0.0)))
+    assert exhaustive_event_defect(p, q, eps) == float(np.max(masks @ gap))
+
+
 class TestSeparationDefect:
     def test_laplace_two_sum_value(self):
         # t=2, h=3: leakage (e^-1 + e^-0.5 + 1)/C_2, every overlap term negative
@@ -380,6 +448,10 @@ class TestGaussianOverlapThreshold:
 
     def test_zero_privacy(self):
         assert gaussian_overlap_threshold(2, 1.0, 0.0) == 1.0
+
+    def test_huge_sigma_at_zero_privacy(self):
+        # sigma^2 alone overflows; sigma * (sigma * eps) is exactly 0
+        assert gaussian_overlap_threshold(1, 1e300, 0.0) == 0.5
 
     def test_zero_separation_rejected(self):
         with pytest.raises(SpecError):
