@@ -31,6 +31,7 @@ from .mechanisms import (
     distortion_moments,
     load_spec,
     sample,
+    sample_counts,
     spec_from_dict,
     truncated_pmf,
     truncated_spec,
@@ -84,6 +85,7 @@ __all__ = [
     "pure_ldp_bound",
     "pure_ldp_epsilon",
     "sample",
+    "sample_counts",
     "separation_breakdown",
     "separation_profile",
     "spec_from_dict",

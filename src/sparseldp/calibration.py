@@ -110,6 +110,9 @@ def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int, co
     return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
 
 
+_MAX_SIZE = 2**53 - 1  # the largest odd size `_check_int` accepts
+
+
 def _next_odd_at_least(value: float) -> int:
     """Smallest odd integer >= value; a value past float range (inf or NaN) raises SpecError."""
     s = math.ceil(_check_real("support size bound", value, "be within float range", lambda v: True))
@@ -121,7 +124,8 @@ def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy
 
     Requires the leakage-only regime (lam * range <= epsilon); the returned
     size always satisfies the exact worst-case defect target, since the
-    bound dominates the exact defect.
+    bound dominates the exact defect.  A size past 2**53 - 1, the largest
+    the library accepts, raises SpecError.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
@@ -131,6 +135,14 @@ def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy
         raise SpecError(
             f"leakage-only bound needs lam * range <= epsilon, got {lam} * {privacy_range} > {epsilon}"
         )
+    s = _laplace_tail_size(delta, lam, privacy_range)
+    if s > _MAX_SIZE:
+        raise SpecError(f"the certified support size, about {float(s):.3g}, is past 2**53 - 1, the largest accepted")
+    return s
+
+
+def _laplace_tail_size(delta: float, lam: float, privacy_range: int) -> int:
+    """The odd size of `laplace_sufficient_support` from valid arguments, uncapped."""
     formula = 2 * privacy_range - 1 + 2.0 * math.log(privacy_range / delta) / lam
     return max(_next_odd_at_least(formula), 2 * privacy_range + 1)
 
@@ -158,9 +170,6 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
     return (s_lo, s_hi)
 
 
-_MAX_SIZE = 2**53 - 1
-
-
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
     # the cap covers the leakage tail for moderate delta; where a tail bound
     # certifies a feasible size, the scan always reaches that size too.  It
@@ -170,7 +179,7 @@ def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_ra
     if kernel.family == LAPLACE:
         cap = 2 * privacy_range + 1 + math.ceil(min(40.0 / kernel.param, 2.0**53))
         if 0 < privacy_range and kernel.param * privacy_range <= epsilon and cap < _MAX_SIZE:
-            cap = max(cap, laplace_sufficient_support(epsilon, delta, kernel.param, privacy_range))
+            cap = max(cap, _laplace_tail_size(delta, kernel.param, privacy_range))
     else:
         cap = 4 * privacy_range + 1 + math.ceil(min(8.0 * kernel.param * kernel.param, 2.0**53))
         certified = privacy_range and cap < _MAX_SIZE

@@ -13,10 +13,8 @@ import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
-import numpy as np
-
 from .calibration import min_feasible_support, sweep_param, sweep_support
-from .mechanisms import Kernel, SpecError, TruncatedParams, load_spec, sample
+from .mechanisms import Kernel, SpecError, TruncatedParams, load_spec, sample, sample_counts
 from .privacy import pure_ldp_epsilon, separation_profile, worst_case_defect
 
 FORMATS = ("csv", "json", "table")
@@ -132,12 +130,12 @@ def cmd_check_pure(args) -> tuple[str, int]:
 
 def cmd_sample(args) -> tuple[str, int]:
     params = TruncatedParams(Kernel(args.family, args.param), args.s)
-    draws = sample(params, args.x, args.seed, args.n)
     if args.histogram:
-        values, counts = np.unique(draws, return_counts=True)
-        rows = [[int(v), int(c)] for v, c in zip(values, counts)]
-        text = _render(["value", "count"], rows, args.format)
-    elif args.format == "json":
+        values, counts = sample_counts(params, args.x, args.seed, args.n)
+        rows = [list(row) for row in zip(values.tolist(), counts.tolist())]
+        return _render(["value", "count"], rows, args.format), 0
+    draws = sample(params, args.x, args.seed, args.n)
+    if args.format == "json":
         text = _render(["samples"], [[[int(v) for v in draws]]], "json", record=True)
     elif args.format == "csv":
         text = _render(["sample"], [[int(v)] for v in draws], "csv")

@@ -292,15 +292,13 @@ def _window_moments(weights: np.ndarray) -> DistortionMoments:
     return DistortionMoments(float(2.0 * (j * tail).sum() / c), float(2.0 * (j * j * tail).sum() / c))
 
 
-def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, n: int) -> np.ndarray:
-    """Draw n outputs for input x, deterministic for a fixed seed.
+# uniforms drawn per step of `sample` and `sample_counts`; `Generator.random`
+# continues one stream across calls, so the draws do not depend on it
+_SAMPLE_CHUNK = 2**14
 
-    The seed must be an integer >= 0 (not a bool), of any size; the same
-    seed gives the same draws.  Every support symbol must fit a 64-bit
-    integer.  Inverse-CDF over the support in ascending output order; the
-    cumulative boundary is inclusive on the left, so u == F(y_{i-1})
-    selects y_i.
-    """
+
+def _index_chunks(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, n: int):
+    """Validate, then (n, ascending int64 support, iterator of (offset, support indices of the next draws))."""
     n = _check_int("sample count", n, 0)
     if _check_int("seed", seed) < 0:
         raise SpecError(f"seed must be an integer >= 0, got {seed}")
@@ -312,12 +310,51 @@ def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, 
         ys = np.array(sorted(masses), dtype=np.int64)
     except OverflowError:
         raise SpecError(f"the support of input {x} has symbols outside the 64-bit integer range") from None
-    p = np.array([masses[int(y)] for y in ys])
-    cum = np.cumsum(p)
-    u = np.random.default_rng(seed).random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(ys) - 1)  # rounding in cum[-1] must not index past the top atom
-    return ys[idx]
+    cum = np.cumsum([masses[int(y)] for y in ys])
+    rng = np.random.default_rng(seed)
+
+    def chunks():
+        for start in range(0, n, _SAMPLE_CHUNK):
+            idx = np.searchsorted(cum, rng.random(min(_SAMPLE_CHUNK, n - start)), side="right")
+            yield start, np.minimum(idx, ys.size - 1, out=idx)  # rounding in cum[-1] must not index past the top atom
+
+    return n, ys, chunks()
+
+
+def sample(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, n: int) -> np.ndarray:
+    """Draw n outputs for input x as an int64 array, deterministic for a fixed seed.
+
+    The seed must be an integer >= 0 (not a bool), of any size; the same
+    seed gives the same draws.  Every support symbol must fit a 64-bit
+    integer.  Inverse-CDF over the support in ascending output order; the
+    cumulative boundary is inclusive on the left, so u == F(y_{i-1})
+    selects y_i.  The uniforms are drawn in fixed chunks into an output
+    allocated first, so memory is 8 bytes per draw plus one chunk, and a
+    count too large for memory fails before any draw.
+    """
+    n, ys, chunks = _index_chunks(mechanism, x, seed, n)
+    out = np.empty(n, dtype=np.int64)
+    for start, idx in chunks:
+        np.take(ys, idx, out=out[start : start + idx.size])
+    return out
+
+
+def sample_counts(
+    mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The histogram of `sample(mechanism, x, seed, n)` without storing the draws.
+
+    Returns (values, counts) as `np.unique(draws, return_counts=True)`
+    would: the drawn support symbols ascending, each with its count > 0.
+    Memory grows with the support size, not with n; time grows linearly
+    with n.
+    """
+    n, ys, chunks = _index_chunks(mechanism, x, seed, n)
+    counts = np.zeros(ys.size, dtype=np.int64)
+    for _, idx in chunks:
+        counts += np.bincount(idx, minlength=ys.size)
+    drawn = counts > 0
+    return ys[drawn], counts[drawn]
 
 
 def spec_from_dict(doc: Mapping) -> MechanismSpec:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from sparseldp import Kernel, MechanismSpec
+from sparseldp import Kernel, MechanismSpec, TruncatedParams, truncated_pmf
 
 SYMBOLS = np.arange(-10, 11)
 
@@ -158,3 +158,16 @@ def plain_gap(p, q, epsilon):
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     return np.where(q > 0.0, p - math.exp(epsilon) * q, p)
+
+
+def one_shot_sample(mechanism, x, seed, n):
+    """Seeded draws from one `rng.random(n)` and one `searchsorted` over all of them.
+
+    The chunked `sample` must give exactly these draws: `Generator.random`
+    continues one stream across calls.
+    """
+    masses = truncated_pmf(mechanism, x) if isinstance(mechanism, TruncatedParams) else mechanism.pmf(x)
+    ys = np.array(sorted(masses), dtype=np.int64)
+    cum = np.cumsum([masses[int(y)] for y in ys])
+    idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="right")
+    return ys[np.minimum(idx, ys.size - 1)]

@@ -30,11 +30,13 @@ from sparseldp import (
     ordered_defect,
     pure_ldp_bound,
     sample,
+    sample_counts,
     separation_breakdown,
     separation_profile,
     sweep_param,
     worst_case_defect,
 )
+from sparseldp.calibration import _default_scan_limit
 
 MALFORMED = [True, False, math.nan, math.inf, -math.inf, 10**400, -(10**400), "1", None, np.bool_(True)]
 NUMPY = [np.float64(0.5), np.int64(3), np.float32(2.0), np.uint8(1)]
@@ -66,6 +68,8 @@ CALLS = {
     "pure_ldp_bound": lambda family, a, b, c: pure_ldp_bound(a, b, c),
     "sample window": lambda family, a, b: sample(WINDOW, a, b, 3),
     "sample spec": lambda family, a, b: sample(PAIR, a, b, 3),
+    "sample_counts window": lambda family, a, b, c: sample_counts(WINDOW, a, b, c),
+    "sample_counts spec": lambda family, a, b, c: sample_counts(PAIR, a, b, c),
 }
 
 
@@ -109,6 +113,17 @@ def test_size_bound_past_float_range_is_a_spec_error():
     # (2 / lam) log(range / delta) is about 4.6e320
     with pytest.raises(SpecError, match="float range"):
         laplace_sufficient_support(1.0, 0.1, 1e-320, 2)
+
+
+def test_certified_size_past_2_to_53_is_a_spec_error():
+    # (2 / lam) log(range / delta) is about 6e300: a finite size that no other call accepts
+    with pytest.raises(SpecError, match=r"2\*\*53 - 1"):
+        laplace_sufficient_support(1.0, 0.1, 1e-300, 2)
+
+
+def test_default_scan_limit_reads_the_uncapped_tail_size():
+    # the Laplace tail size is about 1.4e17 here, so the limit is the largest accepted size
+    assert _default_scan_limit(Kernel.laplace(1e-14), 1.0, 1e-300, 1) == 2**53 - 1
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sparseldp import (
     ordered_defect,
     pointwise_loss,
     sample,
+    sample_counts,
     spec_from_dict,
     sweep_support,
     truncated_pmf,
@@ -24,7 +26,8 @@ from sparseldp import (
     window_normalizer,
     worst_case_defect,
 )
-from conftest import random_spec
+from sparseldp.mechanisms import _SAMPLE_CHUNK
+from conftest import one_shot_sample, random_spec
 
 
 def laplace_window(lam, t, inputs=(0,)):
@@ -261,6 +264,40 @@ class TestSample:
         spec = laplace_window(0.5, 1)
         with pytest.raises(UnknownInputError):
             sample(spec, 3, 0, 1)
+
+
+# input 0 lies outside its own support, so its pmf is shifted by its largest log-weight
+FAR_SPEC = MechanismSpec(Kernel.gaussian(1.5), (0, 1), (5, 6, 7, 9), {0: (5, 6, 7, 9), 1: (6, 9)})
+C = _SAMPLE_CHUNK
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 3 * C + 7])
+    @pytest.mark.parametrize(
+        "mechanism, x", [(TruncatedParams(Kernel.laplace(0.5), 41), 3), (FAR_SPEC, 0)], ids=["window", "far-spec"]
+    )
+    def test_draws_and_counts_equal_one_shot_draws(self, mechanism, x, n):
+        draws = sample(mechanism, x, 2024, n)
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, one_shot_sample(mechanism, x, 2024, n))
+        values, counts = sample_counts(mechanism, x, 2024, n)
+        expected_values, expected_counts = np.unique(draws, return_counts=True)
+        assert np.array_equal(values, expected_values) and np.array_equal(counts, expected_counts)
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_is_the_output_plus_one_chunk(self):
+        # 10**6 draws are 8 MB of output; a one-shot draw holds about three such arrays at once
+        params = TruncatedParams(Kernel.laplace(0.5), 41)
+        assert self.traced_peak(lambda: sample(params, 0, 1, 10**6)) <= 9e6
+        assert self.traced_peak(lambda: sample_counts(params, 0, 1, 10**6)) <= 1e6
 
 
 ABS_SPEC = MechanismSpec(Kernel.laplace(0.5), (0, 1), (0, 1, 2), {0: (0, 1), 1: (1, 2)})

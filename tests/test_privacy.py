@@ -19,6 +19,7 @@ from sparseldp import (
     pure_ldp_bound,
     pure_ldp_epsilon,
     sample,
+    sample_counts,
     separation_breakdown,
     separation_profile,
     truncated_spec,
@@ -428,6 +429,7 @@ class TestWorstCaseDefect:
         lambda n: gaussian_overlap_threshold(n, 1.0, 1.0),
         lambda n: window_weights(Kernel.laplace(0.5), n),
         lambda n: sample(TruncatedParams(Kernel.laplace(0.5), 7), 0, 0, n),
+        lambda n: sample_counts(TruncatedParams(Kernel.laplace(0.5), 7), 0, 0, n),
     ],
 )
 def test_sizes_past_2_to_53_rejected(call):
