@@ -8,6 +8,7 @@ tabulate the privacy/distortion tradeoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,6 +192,10 @@ def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_ra
 
 # grid entries (sizes x separations) evaluated per step of the design scan
 _SCAN_BLOCK = 1024
+# largest radius whose table confirms a closed-form Laplace size (about 2 MB per
+# prefix array); past it the closed form answers
+_CONFIRM_RADIUS = 2**17
+_TINY = 2.0**-1022  # the smallest normal float
 
 
 def min_feasible_support(
@@ -200,21 +205,33 @@ def min_feasible_support(
     privacy_range: int,
     s_max: int | None = None,
 ) -> DesignResult:
-    """Smallest window size meeting the defect target, by ascending exact scan.
+    """Smallest window size meeting the defect target, by closed form or ascending exact scan.
 
     Sizes below the disjointness threshold are skipped when delta < 1 (their
     defect is exactly 1); for delta = 1 the scan starts at s = 1, which is
-    always feasible.  Minimality is certified by the scan order rather than
-    by any assumed monotonicity of the defect in s.  The default scan limit
-    reaches every size that a tail bound (`laplace_sufficient_support`, the
-    low end of `gaussian_support_window`) certifies.
+    always feasible.  The default scan limit reaches every size that a tail
+    bound (`laplace_sufficient_support`, the low end of
+    `gaussian_support_window`) certifies.
 
-    Blocks of sizes x separations are evaluated at once from one window
-    prefix table, which grows by doubling up to the scan limit.  A size is
-    surely above delta if its value minus the table's rounding bound for its
-    radius is.  The first other size is confirmed on the radius-t table that
-    `worst_case_defect` reads, so it is the first size that call finds
-    feasible; `achieved_delta_star` and `moments` come from that table.
+    In the Laplace clean regime (lam * range <= epsilon, range >= 1,
+    delta < 1) the overlap excess is exactly 0, so the defect is the leakage
+    at the range, which strictly decreases in s: going from radius t to t + 1
+    swaps the innermost leaking weight for a smaller outer one and grows the
+    normalizer.  The size is then found by bisection on the closed form
+    (`_laplace_clean_radius`); the next smaller size is certified above
+    delta by the closed form's rounding bound, which covers every smaller
+    size too by that monotonicity.  Up to radius `_CONFIRM_RADIUS` the size
+    is confirmed as a scanned size is; past it `achieved_delta_star` and
+    `moments` are the closed forms.  Where the bound cannot decide, the
+    query is scanned.
+
+    Otherwise blocks of sizes x separations are evaluated at once from one
+    window prefix table, which grows by doubling up to the scan limit, and
+    minimality comes from the scan order.  A size is surely above delta if
+    its value minus the table's rounding bound for its radius is.  The first
+    other size is confirmed on the radius-t table that `worst_case_defect`
+    reads, so it is the first size that call finds feasible;
+    `achieved_delta_star` and `moments` come from that table.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
@@ -226,26 +243,138 @@ def min_feasible_support(
         if s_max % 2 == 0:
             raise SpecError(f"scan limit must be odd, got {s_max}")
     start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
+    lam, located = kernel.param, None
+    if kernel.family == LAPLACE and 0 < privacy_range and lam * privacy_range <= epsilon and delta < 1.0:
+        located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max)
+    s = start if located is None else 2 * located + 1
+    if located is not None and _CONFIRM_RADIUS < located and s <= s_max:
+        leakage, _ = _laplace_leakage(lam, located, privacy_range)
+        return DesignResult(True, s, leakage, _laplace_moments(lam, located), s)
     hs = np.arange(1, privacy_range + 1)
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
-    table, s = None, start
+    table = None
     while s <= s_max:
-        sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
-        t = sizes[:, None] // 2
-        if table is None or table.t_max < t[-1, 0]:
-            table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max if table else 0), s_max // 2))
-        leakage, excess, k = table.breakdown(t, hs, epsilon)
-        total = (leakage + excess).max(axis=1, initial=0.0)
-        surely_above = total - table.error_bound(t[:, 0], k, epsilon) > delta
-        if surely_above.all():
-            s = int(sizes[-1]) + 2
-            continue
-        s = int(sizes[surely_above.argmin()])
+        if located is None:
+            sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
+            t = sizes[:, None] // 2
+            if table is None or table.t_max < t[-1, 0]:
+                table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max if table else 0), s_max // 2))
+            leakage, excess, k = table.breakdown(t, hs, epsilon)
+            total = (leakage + excess).max(axis=1, initial=0.0)
+            surely_above = total - table.error_bound(t[:, 0], k, epsilon) > delta
+            if surely_above.all():
+                s = int(sizes[-1]) + 2
+                continue
+            s = int(sizes[surely_above.argmin()])
+        located = None  # a closed-form size that fails here is stepped past by the scan
         delta_star, _, confirming = _worst_case(kernel, s, epsilon, privacy_range)
         if delta_star <= delta:
             return DesignResult(True, s, delta_star, _window_moments(confirming.weights), s)
         s += 2
     return DesignResult(False, None, None, None, s_max if start <= s_max else 0)
+
+
+def _laplace_clean_radius(lam: float, delta: float, privacy_range: int, start: int, s_max: int) -> int | None:
+    """Radius of the smallest size with a Laplace clean-regime defect <= delta, or None if undecided.
+
+    Finds the least radius t >= max(range - 1, start // 2) whose closed-form
+    leakage at the range is <= delta, by doubling and then bisection; a
+    radius past s_max // 2 counts as below delta, so a returned size past
+    s_max means no size up to it qualifies.  The leakage exceeds
+    r^(t-range+1) (1 - r^range) / (1 + r), its denominator being below
+    1 + r, so the doubling starts where that falls to delta: no smaller
+    radius can qualify.  Every size from `start` up to 2t - 1 is certified
+    above delta (see `min_feasible_support`): radius t - 1 must beat delta
+    by the closed form's rounding bound, with lam, delta and the weights up
+    to it normal floats.  Otherwise, and when the size below 2t + 1 is at
+    least `start` but under radius range - 1, where the closed form does
+    not reach, the answer is None.
+    """
+    h, t_first, t_last = privacy_range, max(privacy_range - 1, start // 2), s_max // 2
+
+    def below(t):
+        return t > t_last or _laplace_leakage(lam, t, h)[0] <= delta
+
+    least = h - 1 + (math.log(-math.expm1(-lam * h)) - math.log(delta * (1.0 + math.exp(-lam)))) / lam
+    base = math.floor(min(max(least, t_first), t_last + 1))
+    lo, hi = t_first - 1, base  # after doubling, hi is below delta and lo is not (t_first - 1 is not read)
+    while not below(hi):
+        lo, hi = hi, min(2 * hi - base + 1, t_last + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    if hi == t_first:
+        return hi if 2 * hi + 1 == start else None
+    leakage, bound = _laplace_leakage(lam, hi - 1, h)
+    normal = lam >= _TINY and delta >= _TINY and lam * (hi - 1) <= 700.0
+    return hi if normal and leakage - bound > delta else None
+
+
+def _laplace_leakage(lam: float, t: int, h: int) -> tuple[float, float]:
+    """Closed-form leakage of the radius-t Laplace window at separation h <= t + 1, and its rounding bound.
+
+    With r = e^-lam the h outermost weights sum to r^(t-h+1) (1 - r^h) / (1 - r)
+    and the window to 1 + 2 r (1 - r^t) / (1 - r), so the leakage is
+    r^(t-h+1) (1 - r^h) / ((1 - r) + 2 r (1 - r^t)), each 1 - r^k formed as
+    -expm1(-lam k).
+
+    The bound, 2^-51 (lam t + 12) times the value, holds while lam, the
+    value and every weight exp(-lam j), j <= t, are normal floats (lam t <=
+    700 for the weights).  It covers the distance to the exact leakage plus
+    that from the exact leakage to what a radius-t table gives (`_worst_case`'s;
+    its prefix at the window's low end is exactly 0).  To first order, with
+    u = 2^-53: rounding lam k shifts exp(-lam k) by lam k u and each libm exp
+    or expm1 errs by under an ulp (2u), so the closed form is within
+    u (lam t + 14) of the exact leakage; each table weight is within
+    u (lam t + 8) of exact (numpy's exp budgeted at four ulps), its
+    compensated prefixes within 2u and its quotient within u, so a table is
+    within u (2 lam t + 21).  The bound leaves u (lam t + 13) for
+    second-order terms and the caller's comparison.
+    """
+    core = -math.expm1(-lam * h) / (-math.expm1(-lam) + 2.0 * math.exp(-lam) * -math.expm1(-lam * t))
+    leakage = math.exp(-lam * (t - h + 1)) * core
+    return leakage, leakage * (2.0**-51 * (lam * t + 12.0))
+
+
+def _laplace_moments(lam: float, t: int) -> DistortionMoments:
+    """`distortion_moments` of the radius-t Laplace window in closed form.
+
+    The distance j of an off-centre output is j = 1..t with weights r^j,
+    r = e^-lam; minus the lam-derivatives of log sum_j r^j give its mean,
+    1 - g(lam) + t g(lam t), and variance, f(lam) - t^2 f(lam t), with
+    g(x) = 1/x - 1/expm1(x) and f = g' (`_mean_terms`), so neither cancels
+    however small lam t is.  The moments are the mean and mean square times
+    the off-centre mass 2 r (1 - r^t) / ((1 - r) + 2 r (1 - r^t)).
+    """
+    y = lam * t
+    g_lam, f_lam = _mean_terms(lam)
+    g_y, f_y = _mean_terms(y)
+    mean = 1.0 - g_lam + t * g_y
+    off = 2.0 * math.exp(-lam) * -math.expm1(-y)
+    off /= -math.expm1(-lam) + off
+    return DistortionMoments(off * mean, off * (mean * mean + (f_lam - t * (t * f_y))))
+
+
+# Taylor coefficients of expm1(x) / x, (expm1(x) - x) / x^2 and
+# (x^2 e^x - expm1(x)^2) / x^4; 30 terms reach full precision for x < 2
+_SERIES = tuple(
+    tuple(num(m) / math.factorial(m) for m in range(k, k + 30))
+    for k, num in ((1, lambda m: 1), (2, lambda m: 1), (4, lambda m: m * (m - 1) + 2 - 2**m))
+)
+
+
+def _mean_terms(x: float) -> tuple[float, float]:
+    """g(x) = 1/x - 1/expm1(x) and its derivative f(x) = e^x / expm1(x)^2 - 1/x^2 for x >= 0.
+
+    Below 2 both come from Taylor series, which have no cancellation for
+    x >= 0 (g(0) = 1/2, f(0) = -1/12); from 2 up the direct forms lose at
+    most two bits.  Past 700 the e^-x terms, below 1e-304, are dropped.
+    """
+    if x < 2.0:
+        e, g, f = (functools.reduce(lambda acc, c: acc * x + c, reversed(coef)) for coef in _SERIES)
+        return g / e, f / (e * e)
+    em1 = math.expm1(min(x, 700.0))
+    return 1.0 / x - 1.0 / em1, 1.0 / (em1 * -math.expm1(-x)) - 1.0 / (x * x)
 
 
 def _sweep(points, epsilon: float, privacy_range: int, empty_message: str) -> list[SweepRow]:

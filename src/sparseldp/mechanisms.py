@@ -302,15 +302,21 @@ def _index_chunks(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed
     n = _check_int("sample count", n, 0)
     if _check_int("seed", seed) < 0:
         raise SpecError(f"seed must be an integer >= 0, got {seed}")
-    if isinstance(mechanism, TruncatedParams):
-        masses = truncated_pmf(mechanism, x)
+    outside = SpecError(f"the support of input {x} has symbols outside the 64-bit integer range")
+    if isinstance(mechanism, TruncatedParams):  # `truncated_pmf`'s masses, formed as arrays
+        x, t = _check_int("input", x), mechanism.t
+        if not -(2**63) <= x - t <= x + t < 2**63:  # the int64 sums below would wrap, not raise
+            raise outside
+        ys = x + np.arange(-t, t + 1, dtype=np.int64)
+        w = window_weights(mechanism.kernel, t)
+        cum = (w / float(w.sum())).cumsum()
     else:
         masses = mechanism.pmf(x)
-    try:
-        ys = np.array(sorted(masses), dtype=np.int64)
-    except OverflowError:
-        raise SpecError(f"the support of input {x} has symbols outside the 64-bit integer range") from None
-    cum = np.cumsum([masses[int(y)] for y in ys])
+        try:
+            ys = np.array(sorted(masses), dtype=np.int64)
+        except OverflowError:
+            raise outside from None
+        cum = np.cumsum([masses[int(y)] for y in ys])
     rng = np.random.default_rng(seed)
 
     def chunks():

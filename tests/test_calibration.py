@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,10 @@ from sparseldp import (
     truncated_spec,
     worst_case_defect,
 )
+from sparseldp import calibration, privacy
+from sparseldp.calibration import _laplace_clean_radius, _laplace_leakage, _laplace_moments
+from sparseldp.mechanisms import _window_moments
+from sparseldp.privacy import _WindowTable
 
 
 class TestFeasibilityMinSupport:
@@ -306,6 +311,135 @@ class TestMinFeasibleSupport:
     def test_numpy_bools_and_bad_delta_rejected(self, delta):
         with pytest.raises(SpecError, match="delta"):
             min_feasible_support(Kernel.laplace(0.5), 1.0, delta, 3)
+
+
+def linear_scan_design(kernel, eps, delta, privacy_range):
+    """First odd size from the scan's start whose `worst_case_defect` is <= delta, one size at a time."""
+    s = feasibility_min_support(privacy_range)
+    while worst_case_defect(kernel, s, eps, privacy_range)[0] > delta:
+        s += 2
+    return s
+
+
+@st.composite
+def clean_laplace_designs(draw):
+    """(lam, eps, delta, range) with lam * range <= eps whose smallest size is at most about 1900."""
+    lam = 10.0 ** draw(st.floats(-3.0, math.log10(3.2)))
+    r = draw(st.integers(1, 30))
+    eps = lam * r * draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+    # the tail bound needs about 2 r + 2 m sizes for this delta
+    m = draw(st.floats(0.0, min(900.0, 700.0 / lam)))
+    return lam, eps, min(r * math.exp(-lam * m), 0.999), r
+
+
+def breakdown_ranks(monkeypatch):
+    """The rank of `t` in each later `_WindowTable.breakdown` call: 2 for a scanned block, 0 for one radius."""
+    ranks, breakdown = [], _WindowTable.breakdown
+
+    def spy(self, t, h, epsilon):
+        ranks.append(np.ndim(t))
+        return breakdown(self, t, h, epsilon)
+
+    monkeypatch.setattr(_WindowTable, "breakdown", spy)
+    return ranks
+
+
+class TestLaplaceClosedForm:
+    """The clean-regime Laplace design: closed-form size, its certificate, and the past-table answer."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(clean_laplace_designs())
+    @example((0.3, 0.3, 0.041008675035958335, 1))  # delta is the float closed form at s = 11; the table's is above
+    @example((0.5, 2.0, 1e-12, 3))
+    def test_design_equals_the_linear_scan(self, case):
+        lam, eps, delta, r = case
+        kernel = Kernel.laplace(lam)
+        res = min_feasible_support(kernel, eps, delta, r)
+        s = linear_scan_design(kernel, eps, delta, r)
+        assert res.feasible and res.s_chosen == res.s_scanned_max == s
+        assert res.achieved_delta_star == worst_case_defect(kernel, s, eps, r)[0]
+        assert res.moments == distortion_moments(TruncatedParams(kernel, s))
+        assert s <= laplace_sufficient_support(eps, delta, lam, r)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-4.0, math.log10(3.2)), st.integers(0, 2999), st.floats(0.0, 1.0))
+    def test_leakage_within_its_bound_of_the_table(self, log_lam, t, u):
+        # the bound holds while every weight is a normal float: lam * t <= 700
+        lam = 10.0**log_lam
+        t = min(t, math.floor(700.0 / lam))
+        h = round(u * (t + 1))
+        leakage, bound = _laplace_leakage(lam, t, h)
+        table = _WindowTable(Kernel.laplace(lam), t).breakdown(t, h, lam * h)[0]
+        assert abs(leakage - float(table)) <= bound
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-4.0, math.log10(3.2)), st.integers(0, 2999))
+    def test_moments_match_the_table(self, log_lam, t):
+        # both forms round differently; 64 roundings of relative error is the stated tolerance
+        lam = 10.0**log_lam
+        got = _laplace_moments(lam, t)
+        want = _window_moments(np.exp(Kernel.laplace(lam).log_weight(np.arange(t + 1, dtype=float))))
+        assert got.r1 == pytest.approx(want.r1, rel=64 * 2.0**-53, abs=1e-300)
+        assert got.r2 == pytest.approx(want.r2, rel=64 * 2.0**-53, abs=1e-300)
+
+    def test_nearly_flat_kernel_against_50_digits(self, monkeypatch):
+        # lam = 1e-14, eps = 1, delta = 1e-12, range 2: about 2e12 sizes, so no table is built
+        def no_table(*args):
+            raise AssertionError("a window table was built")
+
+        monkeypatch.setattr(calibration, "_WindowTable", no_table)
+        monkeypatch.setattr(privacy, "_WindowTable", no_table)
+        res = min_feasible_support(Kernel.laplace(1e-14), 1.0, 1e-12, 2)
+        t = 995_033_085_317
+        assert res.feasible and res.s_chosen == res.s_scanned_max == 2 * t + 1
+
+        with mpmath.workdps(50):
+            r = mpmath.exp(-mpmath.mpf(1e-14))
+
+            def leak(t):
+                return r ** (t - 1) * (1 - r**2) / ((1 - r) + 2 * r * (1 - r**t))
+
+            assert leak(t) <= mpmath.mpf(1e-12) < leak(t - 1)
+            assert abs(res.achieved_delta_star - leak(t)) <= _laplace_leakage(1e-14, t, 2)[1]
+            c = 1 + 2 * r * (1 - r**t) / (1 - r)
+            s1 = r * (1 - (t + 1) * r**t + t * r ** (t + 1)) / (1 - r) ** 2
+            s2 = r * (1 + r - (t + 1) ** 2 * r**t + (2 * t * t + 2 * t - 1) * r ** (t + 1) - t * t * r ** (t + 2))
+            r1, r2 = float(2 * s1 / c), float(2 * s2 / (c * (1 - r) ** 3))
+        assert res.moments.r1 == pytest.approx(r1, rel=64 * 2.0**-53)
+        assert res.moments.r2 == pytest.approx(r2, rel=64 * 2.0**-53)
+
+    def test_past_the_table_radius_against_the_tables(self):
+        # radius 150,000 is past the confirming tables; the neighbouring tables must agree
+        lam, r = 1e-5, 1
+        t = 150_000
+        assert t > calibration._CONFIRM_RADIUS
+        delta = _laplace_leakage(lam, t, r)[0] * (1 + 1e-9)
+        kernel = Kernel.laplace(lam)
+        res = min_feasible_support(kernel, 1.0, delta, r)
+        assert res.s_chosen == 2 * t + 1
+        assert worst_case_defect(kernel, 2 * t - 1, 1.0, r)[0] > delta >= worst_case_defect(kernel, 2 * t + 1, 1.0, r)[0]
+        m = distortion_moments(TruncatedParams(kernel, 2 * t + 1))
+        assert res.moments.r1 == pytest.approx(m.r1, rel=1e-12) and res.moments.r2 == pytest.approx(m.r2, rel=1e-12)
+
+    def test_undecided_bound_falls_back_to_the_scan(self, monkeypatch):
+        # delta one float below the closed form at radius 40: the bound cannot put size 81 above it
+        lam, eps, r = 0.3, 1.0, 3
+        delta = math.nextafter(_laplace_leakage(lam, 40, r)[0], 0.0)
+        assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**6) is None
+        blocks = breakdown_ranks(monkeypatch)
+        res = min_feasible_support(Kernel.laplace(lam), eps, delta, r)
+        assert 2 in blocks  # a block of sizes x separations was scanned
+        assert res.s_chosen == linear_scan_design(Kernel.laplace(lam), eps, delta, r)
+
+    def test_located_designs_scan_no_block(self, monkeypatch):
+        blocks = breakdown_ranks(monkeypatch)
+        res = min_feasible_support(Kernel.laplace(0.01), 1.0, 1e-6, 50)
+        assert res.s_chosen == 2539 and blocks == [0]  # the confirming radius-t read alone
+
+    def test_size_past_the_scan_limit_is_infeasible(self):
+        res = min_feasible_support(Kernel.laplace(0.01), 1.0, 1e-6, 50, s_max=2537)
+        assert not res.feasible and res.s_scanned_max == 2537 and res.moments is None
+        assert min_feasible_support(Kernel.laplace(1e-14), 1.0, 1e-12, 2, s_max=10**9 + 1).s_scanned_max == 10**9 + 1
 
 
 class TestSweeps:

@@ -128,8 +128,13 @@ def test_default_scan_limit_reads_the_uncapped_tail_size():
 
 @pytest.mark.parametrize(
     "mechanism, x",
-    [(WINDOW, 2**63 - 1), (MechanismSpec(LAPLACE, (0,), (0, 10**22), {0: (0, 10**22)}), 0)],
-    ids=["window", "spec"],
+    [
+        (WINDOW, 2**63 - 1),
+        (MechanismSpec(LAPLACE, (0,), (0, 10**22), {0: (0, 10**22)}), 0),
+        (WINDOW, -(2**63)),
+        (WINDOW, 10**22),
+    ],
+    ids=["window", "spec", "window-below", "window-far"],
 )
 def test_sample_rejects_symbols_outside_int64(mechanism, x):
     with pytest.raises(SpecError, match="64-bit"):

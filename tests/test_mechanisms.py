@@ -26,6 +26,7 @@ from sparseldp import (
     window_normalizer,
     worst_case_defect,
 )
+from sparseldp import mechanisms
 from sparseldp.mechanisms import _SAMPLE_CHUNK
 from conftest import one_shot_sample, random_spec
 
@@ -283,6 +284,20 @@ class TestChunkedSampling:
         values, counts = sample_counts(mechanism, x, 2024, n)
         expected_values, expected_counts = np.unique(draws, return_counts=True)
         assert np.array_equal(values, expected_values) and np.array_equal(counts, expected_counts)
+
+    @pytest.mark.parametrize("x", [-(2**63) + 20, 3, 2**63 - 21])
+    def test_windows_draw_without_the_pmf_dict(self, monkeypatch, x):
+        # the support and masses are arrays; the dict of `truncated_pmf` is the reference only
+        params = TruncatedParams(Kernel.laplace(0.5), 41)
+        expected = one_shot_sample(params, x, 2024, 3 * C + 7)
+
+        def no_dict(*args):
+            raise AssertionError("truncated_pmf was called")
+
+        monkeypatch.setattr(mechanisms, "truncated_pmf", no_dict)
+        assert np.array_equal(sample(params, x, 2024, 3 * C + 7), expected)
+        values, counts = sample_counts(params, x, 2024, 3 * C + 7)
+        assert values[0] >= x - 20 and values[-1] <= x + 20 and counts.sum() == 3 * C + 7
 
     @staticmethod
     def traced_peak(call) -> int:
