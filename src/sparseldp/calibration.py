@@ -222,8 +222,13 @@ def min_feasible_support(
     delta by the closed form's rounding bound, which covers every smaller
     size too by that monotonicity.  Up to radius `_CONFIRM_RADIUS` the size
     is confirmed as a scanned size is; past it `achieved_delta_star` and
-    `moments` are the closed forms.  Where the bound cannot decide, the
-    query is scanned.
+    `moments` are the closed forms, and the size must also be certified
+    within delta: while the closed form plus its bound exceeds delta, the
+    next size is taken instead.  So where delta lies within that bound of
+    the closed form, the answer is the smallest size surely within delta,
+    which may be the next odd size after the smallest whose exact defect
+    is.  Where the bound cannot decide the size below, the query is
+    scanned.
 
     Otherwise blocks of sizes x separations are evaluated at once from one
     window prefix table, which grows by doubling up to the scan limit, and
@@ -247,9 +252,13 @@ def min_feasible_support(
     if kernel.family == LAPLACE and 0 < privacy_range and lam * privacy_range <= epsilon and delta < 1.0:
         located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max)
     s = start if located is None else 2 * located + 1
-    if located is not None and _CONFIRM_RADIUS < located and s <= s_max:
-        leakage, _ = _laplace_leakage(lam, located, privacy_range)
-        return DesignResult(True, s, leakage, _laplace_moments(lam, located), s)
+    if located is not None and _CONFIRM_RADIUS < located:
+        leakage, bound = _laplace_leakage(lam, located, privacy_range)
+        while leakage + bound > delta and s <= s_max:  # answer only a size surely within delta
+            located, s = located + 1, s + 2
+            leakage, bound = _laplace_leakage(lam, located, privacy_range)
+        if s <= s_max:
+            return DesignResult(True, s, leakage, _laplace_moments(lam, located), s)
     hs = np.arange(1, privacy_range + 1)
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
     table = None
@@ -278,32 +287,23 @@ def _laplace_clean_radius(lam: float, delta: float, privacy_range: int, start: i
     """Radius of the smallest size with a Laplace clean-regime defect <= delta, or None if undecided.
 
     Finds the least radius t >= max(range - 1, start // 2) whose closed-form
-    leakage at the range is <= delta, by doubling and then bisection; a
-    radius past s_max // 2 counts as below delta, so a returned size past
-    s_max means no size up to it qualifies.  The leakage exceeds
-    r^(t-range+1) (1 - r^range) / (1 + r), its denominator being below
-    1 + r, so the doubling starts where that falls to delta: no smaller
-    radius can qualify.  Every size from `start` up to 2t - 1 is certified
-    above delta (see `min_feasible_support`): radius t - 1 must beat delta
-    by the closed form's rounding bound, with lam, delta and the weights up
-    to it normal floats.  Otherwise, and when the size below 2t + 1 is at
-    least `start` but under radius range - 1, where the closed form does
-    not reach, the answer is None.
+    leakage at the range is <= delta, by bisection up to radius
+    s_max // 2 + 1, which counts as below delta, so a returned size past
+    s_max means no size up to it qualifies.  The closed form is read only
+    at radii from range - 1 up, where it holds.  Every size from `start` up
+    to 2t - 1 is certified above delta (see `min_feasible_support`):
+    radius t - 1 must beat delta by the closed form's rounding bound, with
+    lam, delta and the weights up to it normal floats.  Otherwise, and when
+    the size below 2t + 1 is at least `start` but under radius range - 1,
+    where the closed form does not reach, the answer is None.
     """
     h, t_first, t_last = privacy_range, max(privacy_range - 1, start // 2), s_max // 2
 
-    def below(t):
-        return t > t_last or _laplace_leakage(lam, t, h)[0] <= delta
-
-    least = h - 1 + (math.log(-math.expm1(-lam * h)) - math.log(delta * (1.0 + math.exp(-lam)))) / lam
-    base = math.floor(min(max(least, t_first), t_last + 1))
-    lo, hi = t_first - 1, base  # after doubling, hi is below delta and lo is not (t_first - 1 is not read)
-    while not below(hi):
-        lo, hi = hi, min(2 * hi - base + 1, t_last + 1)
+    lo, hi = t_first - 1, t_last + 1  # hi counts as below delta and lo does not; neither is read
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if below(mid) else (mid, hi)
-    if hi == t_first:
+        lo, hi = (lo, mid) if _laplace_leakage(lam, mid, h)[0] <= delta else (mid, hi)
+    if hi <= t_first:
         return hi if 2 * hi + 1 == start else None
     leakage, bound = _laplace_leakage(lam, hi - 1, h)
     normal = lam >= _TINY and delta >= _TINY and lam * (hi - 1) <= 700.0

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseldp import (
+    DesignResult,
     Kernel,
     SpecError,
     TruncatedParams,
@@ -421,6 +422,21 @@ class TestLaplaceClosedForm:
         m = distortion_moments(TruncatedParams(kernel, 2 * t + 1))
         assert res.moments.r1 == pytest.approx(m.r1, rel=1e-12) and res.moments.r2 == pytest.approx(m.r2, rel=1e-12)
 
+    def test_past_the_table_answer_is_surely_within_delta(self):
+        # delta half a bound above the closed form at radius 200,000: that size is not
+        # surely within delta, so the next one is the answer
+        lam, eps, r, t = 1e-4, 1.0, 2, 200_000
+        leakage, bound = _laplace_leakage(lam, t, r)
+        delta = leakage + bound / 2
+        kernel = Kernel.laplace(lam)
+        assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**7) == t
+        res = min_feasible_support(kernel, eps, delta, r)
+        assert res.s_chosen == res.s_scanned_max == 2 * t + 3
+        leakage, bound = _laplace_leakage(lam, t + 1, r)
+        assert res.achieved_delta_star == leakage and leakage + bound <= delta
+        assert worst_case_defect(kernel, res.s_chosen, eps, r)[0] <= delta
+        assert min_feasible_support(kernel, eps, delta, r, s_max=2 * t + 1).s_scanned_max == 2 * t + 1
+
     def test_undecided_bound_falls_back_to_the_scan(self, monkeypatch):
         # delta one float below the closed form at radius 40: the bound cannot put size 81 above it
         lam, eps, r = 0.3, 1.0, 3
@@ -440,6 +456,13 @@ class TestLaplaceClosedForm:
         res = min_feasible_support(Kernel.laplace(0.01), 1.0, 1e-6, 50, s_max=2537)
         assert not res.feasible and res.s_scanned_max == 2537 and res.moments is None
         assert min_feasible_support(Kernel.laplace(1e-14), 1.0, 1e-12, 2, s_max=10**9 + 1).s_scanned_max == 10**9 + 1
+
+    @pytest.mark.parametrize("s_max, scanned", [(1, 0), (9, 0), (13, 13)])
+    def test_scan_limit_below_the_closed_form_reach(self, s_max, scanned):
+        # range 10 starts at size 11 and the closed form at radius 9; lam = 300 would
+        # overflow e^(lam (range - 1 - t)) if the closed form were read below radius 7
+        res = min_feasible_support(Kernel.laplace(300.0), 3000.0, 0.5, 10, s_max=s_max)
+        assert res == DesignResult(False, None, None, None, scanned)
 
 
 class TestSweeps:
