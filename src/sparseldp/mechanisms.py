@@ -104,8 +104,8 @@ class MechanismSpec:
     `distance` is None for |x - y| on the integers, or a matrix of
     nonnegative reals indexed by (input position, output position) with
     zero diagonal wherever an input also appears as an output.  Validation
-    also builds each input's log kernel weights over S(x), in support order,
-    once; `normalizer`, `pmf` and the pure-level computations all read them.
+    also keeps each input's output columns and log kernel weights over S(x),
+    in support order, once; `normalizer`, every pmf, sampling and the pure level read them.
     Instances are immutable after validation and safe to share across threads.
     """
 
@@ -138,7 +138,7 @@ class MechanismSpec:
             cols = [index.get(y) for y in sup]
             if None in cols:
                 raise SpecError(f"support of input {x} contains {sup[cols.index(None)]} which is not an output")
-            supports[x], columns[x] = sup, cols
+            supports[x], columns[x] = sup, np.array(cols)
         missing = [x for x in self.inputs if x not in supports]
         if missing:
             raise SpecError(f"input {missing[0]} has no support set")
@@ -156,7 +156,7 @@ class MechanismSpec:
                 if x in index and rows[i][index[x]] != 0.0:
                     raise SpecError(f"distance from input {x} to itself must be 0")
             object.__setattr__(self, "distance", rows)
-        log_weights = {}
+        rows = {}  # input -> (output columns of S(x), log kernel weights over S(x))
         for i, x in enumerate(self.inputs):
             if self.distance is None:
                 try:
@@ -165,11 +165,11 @@ class MechanismSpec:
                     raise SpecError(f"a distance from input {x} to its support is too large for a float") from None
             else:
                 d = np.array(self.distance[i])[columns[x]]
-            log_weights[x] = self.kernel.log_weight(d)
-            if not np.isfinite(log_weights[x]).all():
+            rows[x] = columns[x], self.kernel.log_weight(d)
+            if not np.isfinite(rows[x][1]).all():
                 raise SpecError(f"kernel weights of input {x} are beyond float range: a distance is too large")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_log_weights", log_weights)
+        object.__setattr__(self, "_rows", rows)
 
     def support(self, x: int) -> tuple[int, ...]:
         """Admissible outputs for input x, ascending; x must be a declared integer input (not a bool)."""
@@ -194,24 +194,17 @@ class MechanismSpec:
     def normalizer(self, x: int) -> float:
         """Sum of kernel weights over S(x); at least 1 when x is in its own support."""
         self.support(x)
-        return float(np.exp(self._log_weights[x]).sum())
+        return float(np.exp(self._rows[int(x)][1]).sum())
 
     def pmf(self, x: int) -> dict[int, float]:
-        """Output distribution for input x; keys are exactly S(x).
-
-        The weights are exp(lw - max lw): the largest is exactly 1, so the sum
-        cannot underflow however far S(x) lies from x.  When x is in S(x) the
-        shift is 0 and the masses are exactly exp(lw) / sum.
-        """
-        sup = self.support(x)
-        w = np.exp(self._log_weights[x] - self._log_weights[x].max())
-        return dict(zip(sup, (w / w.sum()).tolist()))
+        """Output distribution for input x; keys are exactly S(x), masses those of `_row`."""
+        support, masses = _row(self, x)
+        return dict(zip(support, masses.tolist()))
 
     def pmf_vector(self, x: int) -> np.ndarray:
         """Masses aligned with `outputs`, zero off the support."""
         p = np.zeros(len(self.outputs))
-        for y, mass in self.pmf(x).items():
-            p[self._index[y]] = mass
+        p[self._rows[int(x)][0]] = _row(self, x)[1]  # the right side runs first, so it checks x before int(x)
         return p
 
 
@@ -262,19 +255,33 @@ def truncated_pmf(params: TruncatedParams, x: int) -> dict[int, float]:
     Mass at offset k is weight(|k|) divided by the window normalizer, so the
     result at any x is the result at 0 shifted by x, with identical floats.
     """
-    x = _check_int("input", x)
-    t = params.t
-    w = window_weights(params.kernel, t)
-    c = float(w.sum())
-    return {x + k: float(w[k + t] / c) for k in range(-t, t + 1)}
+    support, masses = _row(params, x)
+    return dict(zip(support, masses.tolist()))
+
+
+def _row(mechanism: Union[MechanismSpec, TruncatedParams], x: int) -> tuple[Sequence[int], np.ndarray]:
+    """Input x's ascending support (a `range` for a window) and its masses w / w.sum(), one float array.
+
+    w = exp(lw - max lw) peaks at exactly 1, so the sum cannot underflow however far S(x) lies from x.  When x
+    is in S(x), as in every window, max lw is -0.0 and w is exp(lw): for a window, `window_weights` bit for bit.
+    """
+    if isinstance(mechanism, TruncatedParams):
+        x, t = _check_int("input", x), mechanism.t
+        support, lw = range(x - t, x + t + 1), mechanism.kernel.log_weight(np.abs(np.arange(-t, t + 1, dtype=float)))
+    else:
+        support, lw = mechanism.support(x), mechanism._rows[int(x)][1]
+    w = lw - lw.max()
+    np.exp(w, out=w)  # in place, as a window's row can hold millions of masses
+    return support, np.divide(w, w.sum(), out=w)
 
 
 def truncated_spec(params: TruncatedParams, inputs: Sequence[int]) -> MechanismSpec:
     """Materialize the window family as an explicit finite spec on `inputs`."""
     t = params.t
-    supports = {int(x): tuple(range(int(x) - t, int(x) + t + 1)) for x in inputs}
+    inputs = tuple(_check_int("input symbol", x) for x in inputs)
+    supports = {x: tuple(range(x - t, x + t + 1)) for x in inputs}
     outputs = tuple(sorted({y for sup in supports.values() for y in sup}))
-    return MechanismSpec(params.kernel, tuple(int(x) for x in inputs), outputs, supports)
+    return MechanismSpec(params.kernel, inputs, outputs, supports)
 
 
 def distortion_moments(params: TruncatedParams) -> DistortionMoments:
@@ -302,21 +309,14 @@ def _index_chunks(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed
     n = _check_int("sample count", n, 0)
     if _check_int("seed", seed) < 0:
         raise SpecError(f"seed must be an integer >= 0, got {seed}")
-    outside = SpecError(f"the support of input {x} has symbols outside the 64-bit integer range")
-    if isinstance(mechanism, TruncatedParams):  # `truncated_pmf`'s masses, formed as arrays
-        x, t = _check_int("input", x), mechanism.t
-        if not -(2**63) <= x - t <= x + t < 2**63:  # the int64 sums below would wrap, not raise
-            raise outside
-        ys = x + np.arange(-t, t + 1, dtype=np.int64)
-        w = window_weights(mechanism.kernel, t)
-        cum = (w / float(w.sum())).cumsum()
+    support, masses = _row(mechanism, x)  # the row every pmf reads, so no dict is built and looked up again
+    if support[0] < -(2**63) or support[-1] >= 2**63:  # ascending, so the ends bound every symbol
+        raise SpecError(f"the support of input {x} has symbols outside the 64-bit integer range")
+    if isinstance(support, range):  # `arange`, not `np.array`, which reads a range one symbol at a time
+        ys = np.arange(support.start, support.stop, dtype=np.int64)
     else:
-        masses = mechanism.pmf(x)
-        try:
-            ys = np.array(sorted(masses), dtype=np.int64)
-        except OverflowError:
-            raise outside from None
-        cum = np.cumsum([masses[int(y)] for y in ys])
+        ys = np.array(support, dtype=np.int64)
+    cum = masses.cumsum(out=masses)
     rng = np.random.default_rng(seed)
 
     def chunks():

@@ -65,7 +65,7 @@ def pointwise_loss(spec: MechanismSpec, x: int, x_prime: int, y: int) -> float:
     sup, sup_prime = spec.support(x), spec.support(x_prime)
     if _check_int("output symbol", y) not in sup or y not in sup_prime:
         raise SpecError(f"output {y} is outside the support overlap of inputs {x} and {x_prime}")
-    lw, lw_prime = spec._log_weights[x], spec._log_weights[x_prime]
+    lw, lw_prime = spec._rows[x][1], spec._rows[x_prime][1]
     gap = float(lw[sup.index(y)] - lw_prime[sup_prime.index(y)])
     return gap + _log_normalizer(lw_prime) - _log_normalizer(lw)
 
@@ -85,13 +85,13 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
     if any(spec.support(x) != common for x in inputs):
         member = np.zeros((len(inputs), len(spec.outputs)), dtype=bool)  # row input, column output
         for i, x in enumerate(inputs):
-            member[i, [spec._index[y] for y in spec.support(x)]] = True
+            member[i, spec._rows[x][0]] = True
         for i, x in enumerate(inputs):
             missing = member[i] & ~member  # row x_prime: outputs of x that x_prime cannot produce
             if missing.any():
                 j = int(np.argmax(missing.any(axis=1)))
                 return PureLdpResult(False, None, (x, inputs[j], min(y for y, m in zip(spec.outputs, missing[j]) if m)))
-    lw = np.array([spec._log_weights[x] for x in inputs])
+    lw = np.array([spec._rows[x][1] for x in inputs])
     log_z = np.array([_log_normalizer(row) for row in lw])
     best = 0.0
     witness = None
