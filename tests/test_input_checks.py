@@ -34,6 +34,7 @@ from sparseldp import (
     separation_breakdown,
     separation_profile,
     sweep_param,
+    truncated_pmf,
     worst_case_defect,
 )
 from sparseldp.calibration import _default_scan_limit
@@ -139,6 +140,8 @@ def test_default_scan_limit_reads_the_uncapped_tail_size():
 def test_sample_rejects_symbols_outside_int64(mechanism, x):
     with pytest.raises(SpecError, match="64-bit"):
         sample(mechanism, x, 0, 2)
+    masses = truncated_pmf(mechanism, x) if isinstance(mechanism, TruncatedParams) else mechanism.pmf(x)
+    assert all(type(y) is int for y in masses) and (min(masses) < -(2**63) or max(masses) >= 2**63)
 
 
 @pytest.mark.parametrize("seed", [None, True, 1.5, -1, np.int64(-1)])

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseldp import (
     Kernel,
@@ -24,6 +26,7 @@ from sparseldp import (
     truncated_pmf,
     truncated_spec,
     window_normalizer,
+    window_weights,
     worst_case_defect,
 )
 from sparseldp import mechanisms
@@ -189,6 +192,34 @@ class TestTruncatedPmf:
         moved = truncated_pmf(params, 42)
         assert all(moved[k + 42] == base[k] for k in base)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["laplace", "gaussian"]), st.floats(-100.0, 100.0), st.integers(0, 5000))
+    def test_row_masses_are_the_window_weights_over_their_sum(self, family, log10_param, t):
+        # the shared formula exp(lw - max lw) shifts a window by max lw = -0.0, which changes no float
+        kernel = Kernel(family, 10.0**log10_param)
+        w = window_weights(kernel, t)
+        support, masses = mechanisms._row(TruncatedParams(kernel, 2 * t + 1), 0)
+        assert support == range(-t, t + 1)
+        assert masses.tobytes() == (w / w.sum()).tobytes()
+
+
+class TestTruncatedSpecInputs:
+    @pytest.mark.parametrize("inputs", [[1.7], [True, 5], ["3"], [np.bool_(True)], [np.float64(2.0)], [None]])
+    def test_inputs_that_are_not_integers_rejected(self, inputs):
+        with pytest.raises(SpecError, match="must be an integer"):
+            truncated_spec(TruncatedParams(Kernel.laplace(0.5), 3), inputs)
+
+    @pytest.mark.parametrize(
+        "inputs, expected",
+        [([np.int64(3), np.uint8(7)], (3, 7)), ([2**70], (2**70,)), ((x for x in [0, 4]), (0, 4))],
+        ids=["numpy", "past-int64", "generator"],
+    )
+    def test_integer_inputs_accepted(self, inputs, expected):
+        params = TruncatedParams(Kernel.laplace(0.5), 3)
+        spec = truncated_spec(params, inputs)
+        assert spec.inputs == expected and all(type(x) is int for x in spec.inputs)
+        assert all(spec.pmf(x) == truncated_pmf(params, x) for x in expected)
+
 
 class TestDistortionMoments:
     @pytest.mark.parametrize(
@@ -298,6 +329,21 @@ class TestChunkedSampling:
         assert np.array_equal(sample(params, x, 2024, 3 * C + 7), expected)
         values, counts = sample_counts(params, x, 2024, 3 * C + 7)
         assert values[0] >= x - 20 and values[-1] <= x + 20 and counts.sum() == 3 * C + 7
+
+    def test_specs_draw_without_the_pmf_dict(self, monkeypatch):
+        # sampling and `pmf_vector` read the row's arrays; `MechanismSpec.pmf` is a view for callers only
+        expected = one_shot_sample(FAR_SPEC, 0, 2024, 3 * C + 7)
+        expected_values, expected_counts = np.unique(expected, return_counts=True)
+        expected_vector = np.array([FAR_SPEC.pmf(0).get(y, 0.0) for y in FAR_SPEC.outputs])
+
+        def no_dict(*args):
+            raise AssertionError("MechanismSpec.pmf was called")
+
+        monkeypatch.setattr(MechanismSpec, "pmf", no_dict)
+        assert np.array_equal(sample(FAR_SPEC, 0, 2024, 3 * C + 7), expected)
+        values, counts = sample_counts(FAR_SPEC, 0, 2024, 3 * C + 7)
+        assert np.array_equal(values, expected_values) and np.array_equal(counts, expected_counts)
+        assert FAR_SPEC.pmf_vector(0).tobytes() == expected_vector.tobytes()
 
     @staticmethod
     def traced_peak(call) -> int:
