@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="odd support size")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--range", type=int, required=True, help="privacy range (max input separation)")
-    p.add_argument("--per-h", dest="per_h", action="store_true", help="one row per separation with the leakage/overlap split")
+    p.add_argument(
+        "--per-h", dest="per_h", action="store_true", help="one row per separation with the leakage/overlap split"
+    )
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("design", help="smallest support size meeting a defect target")
@@ -174,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--range", type=int, required=True)
-    p.add_argument("--s-max", dest="s_max", type=int, default=None, help="odd scan limit (defaults to a generous bound)")
+    p.add_argument(
+        "--s-max", dest="s_max", type=int, default=None, help="odd scan limit (defaults to a generous bound)"
+    )
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("sweep", help="tabulate defect and distortion over sizes or kernel parameters")

@@ -239,7 +239,8 @@ def test_criterion_7_clean_bound_property():
     _report(
         "7 clean-bound property",
         ok,
-        f"{checked} settings, overlap exactly 0: {overlap_zero}, leakage err {worst:.2e}, bound dominates: {bound_holds}",
+        f"{checked} settings, overlap exactly 0: {overlap_zero}, leakage err {worst:.2e}, "
+        f"bound dominates: {bound_holds}",
     )
 
 

@@ -418,7 +418,9 @@ class TestLaplaceClosedForm:
         kernel = Kernel.laplace(lam)
         res = min_feasible_support(kernel, 1.0, delta, r)
         assert res.s_chosen == 2 * t + 1
-        assert worst_case_defect(kernel, 2 * t - 1, 1.0, r)[0] > delta >= worst_case_defect(kernel, 2 * t + 1, 1.0, r)[0]
+        assert (
+            worst_case_defect(kernel, 2 * t - 1, 1.0, r)[0] > delta >= worst_case_defect(kernel, 2 * t + 1, 1.0, r)[0]
+        )
         m = distortion_moments(TruncatedParams(kernel, 2 * t + 1))
         assert res.moments.r1 == pytest.approx(m.r1, rel=1e-12) and res.moments.r2 == pytest.approx(m.r2, rel=1e-12)
 
