@@ -309,14 +309,14 @@ def _index_chunks(mechanism: Union[MechanismSpec, TruncatedParams], x: int, seed
     n = _check_int("sample count", n, 0)
     if _check_int("seed", seed) < 0:
         raise SpecError(f"seed must be an integer >= 0, got {seed}")
-    support, masses = _row(mechanism, x)  # the row every pmf reads, so no dict is built and looked up again
+    support, masses = _row(mechanism, x)  # the same support and masses every pmf reads
     if support[0] < -(2**63) or support[-1] >= 2**63:  # ascending, so the ends bound every symbol
         raise SpecError(f"the support of input {x} has symbols outside the 64-bit integer range")
     if isinstance(support, range):  # `arange`, not `np.array`, which reads a range one symbol at a time
         ys = np.arange(support.start, support.stop, dtype=np.int64)
     else:
         ys = np.array(support, dtype=np.int64)
-    cum = masses.cumsum(out=masses)
+    cum = masses.cumsum(out=masses)  # in place: `_row` returns a new array on every call
     rng = np.random.default_rng(seed)
 
     def chunks():
