@@ -156,7 +156,7 @@ class MechanismSpec:
                 if x in index and rows[i][index[x]] != 0.0:
                     raise SpecError(f"distance from input {x} to itself must be 0")
             object.__setattr__(self, "distance", rows)
-        rows = {}  # input -> (output columns of S(x), log kernel weights over S(x))
+        input_rows = {}  # input -> (output columns of S(x), log kernel weights over S(x))
         for i, x in enumerate(self.inputs):
             if self.distance is None:
                 try:
@@ -165,11 +165,11 @@ class MechanismSpec:
                     raise SpecError(f"a distance from input {x} to its support is too large for a float") from None
             else:
                 d = np.array(self.distance[i])[columns[x]]
-            rows[x] = columns[x], self.kernel.log_weight(d)
-            if not np.isfinite(rows[x][1]).all():
+            input_rows[x] = columns[x], self.kernel.log_weight(d)
+            if not np.isfinite(input_rows[x][1]).all():
                 raise SpecError(f"kernel weights of input {x} are beyond float range: a distance is too large")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", input_rows)
 
     def support(self, x: int) -> tuple[int, ...]:
         """Admissible outputs for input x, ascending; x must be a declared integer input (not a bool)."""

@@ -203,23 +203,6 @@ class TestTruncatedPmf:
         assert masses.tobytes() == (w / w.sum()).tobytes()
 
 
-class TestTruncatedSpecInputs:
-    @pytest.mark.parametrize("inputs", [[1.7], [True, 5], ["3"], [np.bool_(True)], [np.float64(2.0)], [None]])
-    def test_inputs_that_are_not_integers_rejected(self, inputs):
-        with pytest.raises(SpecError, match="must be an integer"):
-            truncated_spec(TruncatedParams(Kernel.laplace(0.5), 3), inputs)
-
-    @pytest.mark.parametrize(
-        "inputs, expected",
-        [([np.int64(3), np.uint8(7)], (3, 7)), ([2**70], (2**70,)), ((x for x in [0, 4]), (0, 4))],
-        ids=["numpy", "past-int64", "generator"],
-    )
-    def test_integer_inputs_accepted(self, inputs, expected):
-        params = TruncatedParams(Kernel.laplace(0.5), 3)
-        spec = truncated_spec(params, inputs)
-        assert spec.inputs == expected and all(type(x) is int for x in spec.inputs)
-        assert all(spec.pmf(x) == truncated_pmf(params, x) for x in expected)
-
 
 class TestDistortionMoments:
     @pytest.mark.parametrize(
@@ -382,9 +365,10 @@ class TestSymbolLookup:
             lambda spec, x: pointwise_loss(spec, 0, 1, x),
             lambda spec, x: spec.dist(x, 0),
             lambda spec, x: spec.dist(0, x),
+            lambda spec, x: truncated_spec(TruncatedParams(spec.kernel, 3), [5, x]),
         ],
         ids=["support", "pmf", "pmf_vector", "normalizer", "sample", "ordered_defect", "pointwise_loss x",
-             "pointwise_loss y", "dist x", "dist y"],
+             "pointwise_loss y", "dist x", "dist y", "truncated_spec inputs"],
     )
     def test_symbols_that_are_not_integers_rejected(self, call, x):
         # True and 1.0 hash like input 1, so a plain dict lookup would accept them
@@ -395,6 +379,18 @@ class TestSymbolLookup:
         assert ABS_SPEC.pmf(np.int64(1)) == ABS_SPEC.pmf(1)
         assert np.array_equal(sample(ABS_SPEC, np.uint8(1), 0, 20), sample(ABS_SPEC, 1, 0, 20))
         assert ABS_SPEC.dist(np.int32(0), np.int64(2)) == MATRIX_SPEC.dist(np.int32(0), np.int64(2)) == 2.0
+
+    @pytest.mark.parametrize(
+        "inputs, expected",
+        [([np.int64(3), np.uint8(7)], (3, 7)), ([2**70], (2**70,)), ((x for x in [0, 4]), (0, 4))],
+        ids=["numpy", "past-int64", "generator"],
+    )
+    def test_truncated_spec_accepts_integer_inputs(self, inputs, expected):
+        # each input is checked once into a tuple, so a one-shot iterable is read once
+        params = TruncatedParams(Kernel.laplace(0.5), 3)
+        spec = truncated_spec(params, inputs)
+        assert spec.inputs == expected and all(type(x) is int for x in spec.inputs)
+        assert all(spec.pmf(x) == truncated_pmf(params, x) for x in expected)
 
     @pytest.mark.parametrize("spec", [ABS_SPEC, MATRIX_SPEC], ids=["abs", "matrix"])
     def test_dist_rejects_undeclared_input(self, spec):
