@@ -245,16 +245,13 @@ class _WindowTable:
         Leakage is G_t(h) / C_t; the excess is (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t,
         exactly 0 when K = 0 (and not computed when K is 0 at every (t, h)).  Every
         finite eps >= 0 is answered: e^eps G_t(K) is formed by `_times_exp`.  Separations
-        beyond 2t give exactly (1, 0).  K is what `error_bound` reads; others drop it.
+        beyond 2t read the window end, G_t(2t+1) = C_t, so they give exactly (1, 0), and
+        K = 0 there because j_min >= 1.  K is what `error_bound` reads; others drop it.
         """
         t, h = np.asarray(t), np.asarray(h)
-        some_disjoint = h.max(initial=0) > 2 * t.min(initial=self.t_max)  # no grid work when false
-        if some_disjoint:
-            disjoint = h > 2 * t
-            h = np.minimum(h, 2 * t)
-        p, a = self.prefix, self.t_max - t
-        ah = a + h
-        p_a, p_h, p_c = p[a], p[ah], p[self.t_max + 1 + t]
+        p, a, end = self.prefix, self.t_max - t, self.t_max + 1 + t
+        ah = np.minimum(a + h, end)  # the window end past 2t
+        p_a, p_h, p_c = p[a], p[ah], p[end]
         c = p_c - p_a
         leakage = (p_h - p_a) / c
         k = self.positive_terms(t, h, epsilon)
@@ -262,9 +259,6 @@ class _WindowTable:
         if k.any():
             excess = np.maximum(p[ah + k] - p_h - _times_exp(p[a + k] - p_a, epsilon), 0.0) / c  # 0 where k = 0
             excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
-        if some_disjoint:
-            leakage = np.where(disjoint, 1.0, leakage)
-            excess = np.where(disjoint, 0.0, excess)
         return leakage, excess, k
 
     def error_bound(self, t, k, epsilon: float):
@@ -291,14 +285,14 @@ class _WindowTable:
 def _least_integer_above(ratio, epsilon: float, guess: float, cap: int) -> int:
     """Smallest integer n >= 1 with ratio(n) > epsilon, or `cap` if none is below it.
 
-    `ratio` is nondecreasing and `guess` is epsilon solved in real numbers,
-    so the answer is within a step or two of it.
+    `ratio` is nondecreasing and `guess` is epsilon solved in real numbers.
+    Each carries at most about 3 roundings and `_UNTIED` shrinks the ratio by
+    8, so ratio(floor(guess) - 1) <= epsilon and the search only steps up;
+    ratio(0) = 0 <= epsilon, so the answer is at least 1.
     """
     if not guess < cap:
         return cap
-    n = max(1, math.floor(guess))
-    while n > 1 and ratio(n - 1) > epsilon:
-        n -= 1
+    n = math.floor(guess)
     while not ratio(n) > epsilon:
         n += 1
     return n

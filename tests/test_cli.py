@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,22 @@ MISMATCH_SPEC = {
     "outputs": [-1, 0, 1, 2, 3, 4],
     "supports": {"0": [-1, 0, 1], "3": [2, 3, 4]},
 }
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # every subcommand but `sample` would otherwise pay for numpy.random's import time and memory
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, numpy\n"
+        "by_numpy = 'numpy.random' in sys.modules\n"
+        "import sparseldp.cli\n"
+        "print(by_numpy, 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    if out.split()[0] == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert out.split() == ["False", "False"]
 
 
 class TestDefect:
@@ -224,22 +243,37 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
-    def test_empty_list_exits_2(self, capsys):
+    @pytest.mark.parametrize(
+        "varied, message",
+        [
+            (["--kind", "support", "--param", "0.5", "--s-list", ","], "--s-list"),
+            (
+                ["--kind", "support", "--param", "0.5", "--s-list", "3,x"],
+                "--s-list must be a comma-separated list of integers",
+            ),
+            (
+                ["--kind", "param", "--s", "7", "--param-list", "0.5,x"],
+                "--param-list must be a comma-separated list of numbers",
+            ),
+        ],
+        ids=["empty", "s-list-not-integers", "param-list-not-numbers"],
+    )
+    def test_empty_list_exits_2(self, capsys, varied, message):
         code, _, err = run(
-            capsys,
-            "sweep", "--kind", "support", "--family", "laplace", "--param", "0.5", "--eps", "1", "--range", "3",
-            "--s-list", ",", "--format", "csv",
+            capsys, "sweep", *varied, "--family", "laplace", "--eps", "1", "--range", "3", "--format", "csv"
         )
         assert code == 2
-        assert "--s-list" in err
+        assert message in err
 
-    def test_kind_requires_matching_flags(self, capsys):
-        code, _, err = run(
-            capsys, "sweep", "--kind", "param", "--family", "laplace", "--eps", "1", "--range", "2",
-            "--param-list", "0.5",
-        )
+    @pytest.mark.parametrize(
+        "varied, flag",
+        [(["--kind", "param", "--param-list", "0.5"], "--s"), (["--kind", "support", "--s-list", "7"], "--param")],
+        ids=["param", "support"],
+    )
+    def test_kind_requires_matching_flags(self, capsys, varied, flag):
+        code, _, err = run(capsys, "sweep", *varied, "--family", "laplace", "--eps", "1", "--range", "2")
         assert code == 2
-        assert "--s" in err
+        assert flag in err
 
     @pytest.mark.parametrize(
         "varied",

@@ -436,10 +436,18 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="unknown input"):
             MechanismSpec(**kw)
 
-    def test_duplicate_inputs(self):
+    @pytest.mark.parametrize("field, symbols", [("inputs", (0, 0, 1)), ("outputs", (0, 1, 2, 1))])
+    def test_duplicate_inputs(self, field, symbols):
         kw = self.good()
-        kw["inputs"] = (0, 0, 1)
-        with pytest.raises(SpecError, match="duplicates"):
+        kw[field] = symbols
+        with pytest.raises(SpecError, match=f"{field} contain duplicates"):
+            MechanismSpec(**kw)
+
+    @pytest.mark.parametrize("field", ["inputs", "outputs"])
+    def test_empty_alphabet(self, field):
+        kw = self.good()
+        kw[field] = ()
+        with pytest.raises(SpecError, match=f"{field} must be nonempty"):
             MechanismSpec(**kw)
 
     def test_matrix_shape(self):
@@ -524,6 +532,9 @@ class TestSpecJson:
             (lambda d: d.update(supports={"1": [0], "01": [0, 1]}), "canonical"),
             (lambda d: d.update(supports={"0": [0, 1], " 1": [0, 1]}), "canonical"),
             (lambda d: d.update(supports={"0": [0, 1], "+1": [0, 1]}), "canonical"),
+            (lambda d: d.update(supports={"0": 5, "1": [0, 1]}), "list of integers"),
+            (lambda d: d.update(supports={"0": [0, 1.5], "1": [0, 1]}), "must contain integers"),
+            (lambda d: d.update(distance="abs"), "distance must be"),
             (lambda d: d.update(distance={"type": "matrix", "values": [["0", "1"], ["1", "0"]]}), "distance"),
             (lambda d: d.update(distance={"type": "matrix", "values": [[False, True], [True, False]]}), "distance"),
             (lambda d: d.update(distance={"type": "euclid"}), "distance type"),
@@ -535,6 +546,10 @@ class TestSpecJson:
         mutate(doc)
         with pytest.raises(SpecError, match=message):
             spec_from_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(SpecError, match="JSON object"):
+            spec_from_dict([])
 
 
 def test_window_normalizer_matches_spec():

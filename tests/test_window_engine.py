@@ -31,7 +31,7 @@ from sparseldp import (
     window_weights,
     worst_case_defect,
 )
-from sparseldp.privacy import _WindowTable
+from sparseldp.privacy import _UNTIED, _WindowTable, _least_integer_above
 
 AGREE = 2e-15
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -147,6 +147,39 @@ class TestAgainstDirectFormula:
         assert not excess.any() and not k.any()
 
 
+def least_positive_term_search(kernel, eps, cap):
+    """`_least_integer_above` with the ratio and guess that `positive_terms` passes for this kernel."""
+    param = kernel.param
+    if kernel.family == "laplace":
+        ratio, guess = (lambda n: param * n * _UNTIED), eps / param
+    else:
+        two_var = 2.0 * param * param
+        ratio, guess = (lambda m: m / two_var * _UNTIED), eps * two_var
+    return ratio, _least_integer_above(ratio, eps, guess, cap)
+
+
+class TestLeastIntegerAbove:
+    wide = st.one_of(
+        st.floats(5e-324, 1e300).map(Kernel.laplace), st.floats(1e-150, 1e150).map(Kernel.gaussian)
+    )
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.tuples(kernels, epsilons), st.tuples(wide, st.floats(0.0, 1e300)), ties),
+        st.one_of(st.integers(1, 10**6), st.just(2**53)),
+    )
+    @example((Kernel.laplace(5e-324), 1e-310), 2**53)
+    @example((Kernel.laplace(0.05), 0.3), 2**53)
+    def test_is_the_least_integer_above_epsilon(self, case, cap):
+        # it only steps up from floor(guess): a search that should have stepped down fails here
+        ratio, n = least_positive_term_search(*case, cap)
+        eps = case[1]
+        assert n >= 1
+        if n < cap:
+            assert ratio(n) > eps
+        assert n == 1 or ratio(n - 1) <= eps
+
+
 class TestSeparationProfile:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(kernels, st.one_of(epsilons, st.sampled_from([709.0, 1e308])), st.integers(0, 150), st.integers(0, 4))
@@ -174,6 +207,11 @@ def radius_bound(table, t, hs, eps):
 class TestErrorBound:
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
+    # disjoint separations on tables that reach past the window end
+    @example(Kernel.laplace(0.5), 1.0, (3, 7), 10)
+    @example(Kernel.laplace(0.05), 0.3, (8, 18), 1500)
+    @example(Kernel.gaussian(2.0), 0.125, (0, 2), 1)
+    @example(Kernel.gaussian(60.0), 5.0, (500, 1002), 1500)
     def test_covers_a_radius_t_table(self, kernel, eps, case, extra):
         t, h = case
         table = _WindowTable(kernel, t + extra)
@@ -182,6 +220,8 @@ class TestErrorBound:
         bound = radius_bound(table, t, h, eps)
         assert abs((big[0] + big[1]) - (own[0] + own[1])) <= bound
         assert bound <= 1e-12
+        if h > 2 * t:  # disjoint windows read the window end, however far the table reaches past it
+            assert (float(big[0]), float(big[1]), int(big[2])) == (1.0, 0.0, 0)
 
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
