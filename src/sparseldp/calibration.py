@@ -26,7 +26,7 @@ from .mechanisms import (
     _check_real,
     _window_moments,
 )
-from .privacy import _WindowTable, _worst_case, separation_breakdown
+from .privacy import _overlap_threshold, _WindowTable, _worst_case, separation_breakdown
 
 
 @dataclass(frozen=True)
@@ -80,29 +80,29 @@ def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) 
     The overlap excess vanishes across the range when lam * range <= epsilon
     and the window overlaps at every range separation (s >= 2 * range + 1);
     the exact defect is then the leakage at the largest separation and is
-    bounded by range * exp(-lam * (t - range + 1)).
+    bounded by range * exp(-lam * (t - range + 1)).  A product within 8
+    roundings above epsilon is a tie and counts as clean, the engine's rule.
     """
-    params = TruncatedParams(Kernel.laplace(lam), s)
-    privacy_range = _check_int("privacy range", privacy_range, 0)
-    epsilon = _check_epsilon(epsilon)
-    return _clean_bound(params, epsilon, privacy_range, lam * privacy_range <= epsilon)
+    return _clean_bound(TruncatedParams(Kernel.laplace(lam), s), epsilon, privacy_range)
 
 
 def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: int) -> CleanBoundReport:
     """Leakage-only defect for the Gaussian window family, when it applies.
 
-    The overlap condition is epsilon >= range * (2t - range) / (2 sigma^2);
-    the bound is range * exp(-(t - range + 1)^2 / (2 sigma^2)).
+    The overlap condition is epsilon >= range * (2t - range) / (2 sigma^2),
+    with ties within 8 roundings clean (the engine's rule); the bound is
+    range * exp(-(t - range + 1)^2 / (2 sigma^2)).
     """
-    params = TruncatedParams(Kernel.gaussian(sigma), s)
+    return _clean_bound(TruncatedParams(Kernel.gaussian(sigma), s), epsilon, privacy_range)
+
+
+def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int):
+    """Either family's report, with the engine's overlap test; the bound is range times W(t - range + 1)."""
     privacy_range = _check_int("privacy range", privacy_range, 0)
     epsilon = _check_epsilon(epsilon)
-    condition_overlap = epsilon >= privacy_range * (2 * params.t - privacy_range) / (2.0 * sigma * sigma)
-    return _clean_bound(params, epsilon, privacy_range, condition_overlap)
-
-
-def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int, condition_overlap: bool):
-    """Either family's report, given its overlap condition; the bound is range times W(t - range + 1)."""
+    r, t = privacy_range, params.t
+    reach, t_max = (r, r) if params.kernel.family == LAPLACE else (r * (2 * t - r), t)
+    condition_overlap = reach < _overlap_threshold(params.kernel, epsilon, t_max)
     condition_size = params.s >= 2 * privacy_range + 1
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
@@ -123,20 +123,19 @@ def _next_odd_at_least(value: float) -> int:
 def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy_range: int) -> int:
     """Smallest odd support size certified by the Laplace leakage tail bound.
 
-    Requires the leakage-only regime (lam * range <= epsilon); the returned
-    size always satisfies the exact worst-case defect target, since the
-    bound dominates the exact defect.  A size past 2**53 - 1, the largest
-    the library accepts, raises SpecError.
+    Requires the leakage-only regime (lam * range <= epsilon, ties within 8
+    roundings counting, the engine's rule); the returned size always
+    satisfies the exact worst-case defect target, since the bound dominates
+    the exact defect.  A size past 2**53 - 1, the largest the library
+    accepts, raises SpecError.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 1)
-    Kernel.laplace(lam)
-    if lam * privacy_range > epsilon:
-        raise SpecError(
-            f"leakage-only bound needs lam * range <= epsilon, got {lam} * {privacy_range} > {epsilon}"
-        )
-    s = _laplace_tail_size(delta, lam, privacy_range)
+    kernel = Kernel.laplace(lam)
+    if privacy_range >= _overlap_threshold(kernel, epsilon, privacy_range):
+        raise SpecError(f"leakage-only bound needs lam * range <= epsilon, got {lam} * {privacy_range} > {epsilon}")
+    s = _laplace_tail_size(delta, kernel.param, privacy_range)
     if s > _MAX_SIZE:
         raise SpecError(f"the certified support size, about {float(s):.3g}, is past 2**53 - 1, the largest accepted")
     return s
@@ -152,23 +151,20 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
     """Odd support sizes certified for the Gaussian family, or None if empty.
 
     The lower end comes from the leakage tail, the upper end from the
-    quadratic overlap condition; between them every odd size meets the
-    target.  The log term is clamped at 0 when delta >= range, where the
-    tail requirement is vacuous.  The upper end stops at 2**53 - 1, the
-    largest size the library accepts.
+    quadratic overlap condition (ties within 8 roundings clean, the engine's
+    rule); between them every odd size meets the target.  The log term is
+    clamped at 0 when delta >= range, where the tail requirement is vacuous.
+    The upper end stops at 2**53 - 1, the largest size the library accepts.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 1)
-    Kernel.gaussian(sigma)
-    log_term = max(0.0, math.log(privacy_range / delta))
-    lo = max(2 * privacy_range - 1 + 2.0 * sigma * math.sqrt(2.0 * log_term), 2 * privacy_range + 1)
-    hi = privacy_range + 1 + 2.0 * sigma * (sigma * epsilon) / privacy_range
-    s_lo = _next_odd_at_least(lo)
-    s_hi = -_next_odd_at_least(-min(hi, 2.0**53))  # the largest odd size <= hi
-    if s_lo > s_hi:
-        return None
-    return (s_lo, s_hi)
+    kernel = Kernel.gaussian(sigma)
+    lo = 2 * privacy_range - 1 + 2.0 * kernel.param * math.sqrt(2.0 * max(0.0, math.log(privacy_range / delta)))
+    s_lo = max(_next_odd_at_least(lo), 2 * privacy_range + 1)
+    m = _overlap_threshold(kernel, epsilon, _MAX_SIZE // 2)  # the end is the largest t with range (2t - range) < m
+    s_hi = min(2 * ((m - 1 + privacy_range**2) // (2 * privacy_range)) + 1, _MAX_SIZE)
+    return None if s_lo > s_hi else (s_lo, s_hi)
 
 
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
@@ -179,7 +175,7 @@ def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_ra
     # be past float range.
     if kernel.family == LAPLACE:
         cap = 2 * privacy_range + 1 + math.ceil(min(40.0 / kernel.param, 2.0**53))
-        if 0 < privacy_range and kernel.param * privacy_range <= epsilon and cap < _MAX_SIZE:
+        if 0 < privacy_range < _overlap_threshold(kernel, epsilon, privacy_range) and cap < _MAX_SIZE:
             cap = max(cap, _laplace_tail_size(delta, kernel.param, privacy_range))
     else:
         cap = 4 * privacy_range + 1 + math.ceil(min(8.0 * kernel.param * kernel.param, 2.0**53))
@@ -213,10 +209,11 @@ def min_feasible_support(
     bound (`laplace_sufficient_support`, the low end of
     `gaussian_support_window`) certifies.
 
-    In the Laplace clean regime (lam * range <= epsilon, range >= 1,
-    delta < 1) the overlap excess is exactly 0, so the defect is the leakage
-    at the range, which strictly decreases in s: going from radius t to t + 1
-    swaps the innermost leaking weight for a smaller outer one and grows the
+    In the Laplace clean regime (lam * range <= epsilon, ties within 8
+    roundings counting as clean, the engine's rule; range >= 1, delta < 1)
+    the overlap excess is exactly 0, so the defect is the leakage at the
+    range, which strictly decreases in s: going from radius t to t + 1 swaps
+    the innermost leaking weight for a smaller outer one and grows the
     normalizer.  The size is then found by bisection on the closed form
     (`_laplace_clean_radius`); the next smaller size is certified above
     delta by the closed form's rounding bound, which covers every smaller
@@ -226,9 +223,8 @@ def min_feasible_support(
     within delta: while the closed form plus its bound exceeds delta, the
     next size is taken instead.  So where delta lies within that bound of
     the closed form, the answer is the smallest size surely within delta,
-    which may be the next odd size after the smallest whose exact defect
-    is.  Where the bound cannot decide the size below, the query is
-    scanned.
+    which may be the next odd size after the smallest whose exact defect is.
+    Where the bound cannot decide the size below, the query is scanned.
 
     Otherwise blocks of sizes x separations are evaluated at once from one
     window prefix table, which grows by doubling up to the scan limit, and
@@ -248,9 +244,9 @@ def min_feasible_support(
         if s_max % 2 == 0:
             raise SpecError(f"scan limit must be odd, got {s_max}")
     start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
-    lam, located = kernel.param, None
-    if kernel.family == LAPLACE and 0 < privacy_range and lam * privacy_range <= epsilon and delta < 1.0:
-        located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max)
+    lam = kernel.param
+    clean = kernel.family == LAPLACE and 0 < privacy_range < _overlap_threshold(kernel, epsilon, privacy_range)
+    located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max) if clean and delta < 1.0 else None
     s = start if located is None else 2 * located + 1
     if located is not None and _CONFIRM_RADIUS < located:
         leakage, bound = _laplace_leakage(lam, located, privacy_range)

@@ -222,20 +222,17 @@ class _WindowTable:
         log-ratio within 8 roundings of itself above epsilon, such as
         0.05 * 6 against 0.3, is a tie: its term is zero to the precision of
         the float weights, and counting it would only add rounding dust.  The
-        comparison is never looser than the clean-regime tests of
-        `calibration`, so there K is exactly 0.
+        threshold comes from `_overlap_threshold`, which the clean-regime tests
+        of `calibration` also read, so K is exactly 0 wherever they hold.
         """
         t, h = np.asarray(t), np.asarray(h)
-        param = self.kernel.param
+        threshold = _overlap_threshold(self.kernel, epsilon, self.t_max)
         if self.kernel.family == LAPLACE:
-            n = _least_integer_above(lambda n: param * n * _UNTIED, epsilon, epsilon / param, self.t_max + 1)
-            if h.max(initial=0) < n:  # every separation is in the clean regime
+            if h.max(initial=0) < threshold:  # every separation is in the clean regime
                 return np.zeros(np.broadcast(t, h).shape, dtype=int)
-            j_min = np.where(h >= n, n, 2 * self.t_max + 2)
+            j_min = np.where(h >= threshold, threshold, 2 * self.t_max + 2)
         else:
-            two_var = 2.0 * param * param
-            m = _least_integer_above(lambda m: m / two_var * _UNTIED, epsilon, epsilon * two_var, self.t_max**2 + 1)
-            j_min = np.where(h > 0, -(-m // np.maximum(h, 1)), 2 * self.t_max + 2)
+            j_min = np.where(h > 0, -(-threshold // np.maximum(h, 1)), 2 * self.t_max + 2)
         # (2t - h - j_min) // 2 + 1 = t - ((h + j_min + 1) // 2 - 1); j_min = 2 t_max + 2: no term at any t
         return np.maximum(t - ((h + j_min + 1) // 2 - 1), 0)
 
@@ -282,19 +279,36 @@ class _WindowTable:
         return ends / (p_end - p_a)
 
 
+def _overlap_threshold(kernel: Kernel, epsilon: float, t_max: int) -> int:
+    """`positive_terms`' threshold: the least n with lam * n, or m with m / (2 sigma^2), above epsilon untied.
+
+    Capped at t_max + 1 or t_max^2 + 1.  On windows of radius t >= R, no term up to separation R
+    is positive exactly when R < n (for R <= t_max) or R (2t - R) < m (for t <= t_max).
+    """
+    param = kernel.param
+    if kernel.family == LAPLACE:
+        return _least_integer_above(lambda n: param * n * _UNTIED, epsilon, epsilon / param, t_max + 1)
+    two_var = 2.0 * param * param
+    return _least_integer_above(lambda m: m / two_var * _UNTIED, epsilon, epsilon * two_var, t_max**2 + 1)
+
+
 def _least_integer_above(ratio, epsilon: float, guess: float, cap: int) -> int:
     """Smallest integer n >= 1 with ratio(n) > epsilon, or `cap` if none is below it.
 
     `ratio` is nondecreasing and `guess` is epsilon solved in real numbers.
     Each carries at most about 3 roundings and `_UNTIED` shrinks the ratio by
-    8, so ratio(floor(guess) - 1) <= epsilon and the search only steps up;
-    ratio(0) = 0 <= epsilon, so the answer is at least 1.
+    8, so ratio(floor(guess) - 1) <= epsilon and the search only steps up,
+    in doubling strides and then by bisection, since near guess = 2^100 the
+    answer is some 2^50 integers up; ratio(0) = 0 <= epsilon, so it is >= 1.
     """
     if not guess < cap:
         return cap
-    n = math.floor(guess)
+    below, n, step = math.floor(guess) - 1, math.floor(guess), 1  # ratio(below) <= epsilon throughout
     while not ratio(n) > epsilon:
-        n += 1
+        below, n, step = n, n + step, 2 * step
+    while n - below > 1:
+        mid = (below + n) // 2
+        below, n = (below, mid) if ratio(mid) > epsilon else (mid, n)
     return n
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseldp import (
+    CleanBoundReport,
     DesignResult,
     Kernel,
     SpecError,
@@ -101,10 +103,21 @@ class TestGaussianCleanBound:
         assert rep.upper_bound == 0.0
 
 
+def around(boundary):
+    """The float boundary and one float step to each side of it."""
+    return (math.nextafter(boundary, -math.inf), boundary, math.nextafter(boundary, math.inf))
+
+
+def no_positive_term(kernel, eps, t, privacy_range):
+    """The engine's verdict: K(h) = 0 at every separation up to the range on the radius-t table."""
+    return not _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), eps)[2].any()
+
+
 class TestCleanBoundSoundness:
-    """Inside the no-excess regime (strictly, to keep float boundaries out of play):
-    every overlap component vanishes exactly, the exact defect is the leakage sum,
-    and the tail bound dominates it."""
+    """Inside the no-excess regime every overlap component vanishes exactly, the
+    exact defect is the leakage sum, and the tail bound dominates it.  On the
+    float boundary and one step to each side of it, a report applies exactly
+    when the window engine finds no positive overlap term (ties count as clean)."""
 
     def test_laplace_grid(self):
         for lam in (0.25, 0.5, 1.0):
@@ -138,6 +151,33 @@ class TestCleanBoundSoundness:
                     exact, _ = worst_case_defect(kernel, s, eps, H)
                     assert exact == pytest.approx(rep.exact_leakage_delta, abs=1e-12)
                     assert rep.upper_bound >= exact - 1e-15
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 0.1, 0.7, 1 / 3])
+    def test_laplace_boundary_agrees_with_the_engine(self, lam):
+        kernel = Kernel.laplace(lam)
+        for H in (1, 2, 3):
+            for eps in around(lam * H):
+                for s in (2 * H - 1, 2 * H + 1, 2 * H + 9):
+                    rep = laplace_clean_bound(eps, lam, s, H)
+                    t = (s - 1) // 2
+                    assert rep.applicable == (rep.condition_size and no_positive_term(kernel, eps, t, H))
+                    if rep.applicable:
+                        assert rep.exact_leakage_delta == worst_case_defect(kernel, s, eps, H)[0]
+                        assert rep.upper_bound >= rep.exact_leakage_delta
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 0.7, 1.3, 3.1])
+    def test_gaussian_boundary_agrees_with_the_engine(self, sigma):
+        kernel = Kernel.gaussian(sigma)
+        for H in (1, 2, 3):
+            for s in (2 * H - 1, 2 * H + 1, 2 * H + 9):
+                t = (s - 1) // 2
+                for eps in around(H * (2 * t - H) / (2.0 * sigma * sigma)):
+                    eps = max(eps, 0.0)  # the boundary is at or below 0 when the size condition fails
+                    rep = gaussian_clean_bound(eps, sigma, s, H)
+                    assert rep.applicable == (rep.condition_size and no_positive_term(kernel, eps, t, H))
+                    if rep.applicable:
+                        assert rep.exact_leakage_delta == worst_case_defect(kernel, s, eps, H)[0]
+                        assert rep.upper_bound >= rep.exact_leakage_delta
 
 
 class TestLaplaceSufficientSupport:
@@ -213,6 +253,29 @@ class TestGaussianSupportWindow:
                             exact, _ = worst_case_defect(Kernel.gaussian(sigma), s, eps, H)
                             assert exact <= delta
         assert hits > 10  # the grid must actually exercise nonempty windows
+
+
+@pytest.mark.parametrize(
+    "call, param",
+    [
+        (lambda p: laplace_clean_bound(0.3, p, 9, 3), np.float32(0.1)),
+        (lambda p: laplace_clean_bound(2.0999999999999996, p, 17, 3), Fraction(7, 10)),
+        (lambda p: gaussian_clean_bound(0.8875740296090829, p, 5, 1), np.float32(1.3)),
+        (lambda p: gaussian_clean_bound(1.0, p, 7, 2), Fraction(3, 2)),
+        (lambda p: laplace_sufficient_support(0.45000001788139343, 0.5488116229270158, p, 1), np.float32(0.3)),
+        (lambda p: laplace_sufficient_support(0.7, 3.2213164481909267e-12, p, 1), Fraction(7, 10)),
+        (lambda p: gaussian_support_window(24.69135933288663, 0.00036781568740308813, p, 4), np.float32(0.9)),
+        (lambda p: gaussian_support_window(4.0, 0.4, p, 2), Fraction(1, 1)),
+    ],
+    ids=["laplace bound float32", "laplace bound fraction", "gaussian bound float32", "gaussian bound fraction",
+         "sufficient float32", "sufficient fraction", "window float32", "window fraction"],
+)
+def test_numpy_and_fraction_parameters_act_as_their_float(call, param):
+    # the arithmetic runs on the validated float, not in float32 or in exact rationals
+    got = call(param)
+    assert got == call(float(param))
+    if isinstance(got, CleanBoundReport):
+        assert [type(flag) for flag in (got.applicable, got.condition_overlap, got.condition_size)] == [bool] * 3
 
 
 class TestMinFeasibleSupport:
@@ -361,6 +424,16 @@ class TestLaplaceClosedForm:
         assert res.achieved_delta_star == worst_case_defect(kernel, s, eps, r)[0]
         assert res.moments == distortion_moments(TruncatedParams(kernel, s))
         assert s <= laplace_sufficient_support(eps, delta, lam, r)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.floats(0.2, 3.0), st.floats(-12.0, -2.0))
+    # lam * range rounds one step above eps; the parent scanned to 171 and reported infeasible
+    @example(7, 1.7951150840438483, math.log10(8.118549048840974e-11))
+    def test_design_on_the_clean_edge_equals_the_linear_scan(self, r, eps, log_delta):
+        # lam = eps / range: the product lam * range can round to either side of eps
+        kernel, delta = Kernel.laplace(eps / r), 10.0**log_delta
+        res = min_feasible_support(kernel, eps, delta, r)
+        assert res.feasible and res.s_chosen == linear_scan_design(kernel, eps, delta, r)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(-4.0, math.log10(3.2)), st.integers(0, 2999), st.floats(0.0, 1.0))

@@ -94,16 +94,18 @@ def test_returns_or_raises_spec_error(name, family, data):
         (lambda: exhaustive_event_defect([0.5, 0.5], [0.5, 0.5], 800.0), 0.0),
         (lambda: ordered_defect(PAIR, 0, 1, 1e308).total, 0.0),
         (lambda: gaussian_overlap_threshold(1, 1e300, 0.0), 0.5),
-        (lambda: gaussian_support_window(0.0, 1.0, 1e200, 1), None),  # lo = 3 > hi = 2
+        # 2 sigma^2 overflows, so every weight is 1 and the engine counts no positive term at any size
+        (lambda: gaussian_support_window(0.0, 1.0, 1e200, 1), (3, 2**53 - 1)),
         (lambda: gaussian_support_window(0.5, 0.5, 1e300, 2), None),  # lo is past 2**53 - 1
         (lambda: gaussian_support_window(1e308, 0.5, 1.0, 1), (5, 2**53 - 1)),
+        (lambda: gaussian_support_window(1e24, 0.5, 1.0, 2**40), (2199023255567, 2918501031321)),
         (lambda: laplace_sufficient_support(1.0, 1.0, 1e-320, 1), 3),
         (lambda: min_feasible_support(Kernel.gaussian(1e200), 1.0, 0.1, 2).s_chosen, 21),
         (lambda: min_feasible_support(Kernel.laplace(1e-320), 1.0, 0.1, 2).s_chosen, 21),
         (lambda: min_feasible_support(Kernel.gaussian(1.0), 1e308, 0.5, 1).s_chosen, 3),
     ],
     ids=["brute eps 800", "events eps 800", "ordered eps 1e308", "threshold sigma 1e300", "window sigma 1e200",
-         "window sigma 1e300", "window eps 1e308", "sufficient lam 1e-320", "design sigma 1e200",
+         "window sigma 1e300", "window eps 1e308", "window range 2**40", "sufficient lam 1e-320", "design sigma 1e200",
          "design lam 1e-320", "design eps 1e308"],
 )
 def test_extreme_valid_values_are_answered(call, expected):

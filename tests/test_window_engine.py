@@ -21,6 +21,7 @@ from sparseldp import (
     Kernel,
     TruncatedParams,
     distortion_moments,
+    gaussian_clean_bound,
     laplace_clean_bound,
     mechanisms,
     min_feasible_support,
@@ -136,15 +137,28 @@ class TestAgainstDirectFormula:
             assert separation_breakdown(kernel, 1.0, t, h).total <= delta_star
 
     @SETTINGS
-    @given(st.floats(0.01, 2.0), st.integers(1, 40), st.integers(0, 60))
-    def test_clean_regime_is_exactly_zero(self, lam, privacy_range, extra):
-        # eps = lam * range in floats: the clean-regime test holds with equality
-        eps = lam * privacy_range
+    @given(
+        st.one_of(st.floats(0.01, 2.0).map(Kernel.laplace), st.floats(0.3, 20.0).map(Kernel.gaussian)),
+        st.integers(1, 40),
+        st.integers(0, 60),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @example(Kernel.laplace(0.25), 3, 0, -1)
+    @example(Kernel.gaussian(1.0), 2, 1, -1)
+    def test_clean_regime_is_exactly_zero(self, kernel, privacy_range, extra, side):
+        # eps is the float boundary lam * range or range (2t - range) / (2 sigma^2), or one float step
+        # to either side of it: a tie, so the report applies and the engine counts no positive term
         t = privacy_range + extra
-        assert laplace_clean_bound(eps, lam, 2 * t + 1, privacy_range).applicable
-        hs = np.arange(privacy_range + 1)
-        _, excess, k = _WindowTable(Kernel.laplace(lam), t).breakdown(t, hs, eps)
-        assert not excess.any() and not k.any()
+        if kernel.family == "laplace":
+            boundary, clean_bound = kernel.param * privacy_range, laplace_clean_bound
+        else:
+            boundary = privacy_range * (2 * t - privacy_range) / (2.0 * kernel.param * kernel.param)
+            clean_bound = gaussian_clean_bound
+        eps = math.nextafter(boundary, side * math.inf) if side else boundary
+        rep = clean_bound(eps, kernel.param, 2 * t + 1, privacy_range)
+        _, excess, k = _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), eps)
+        assert rep.applicable == rep.condition_size == (not k.any())
+        assert rep.applicable and not excess.any()
 
 
 def least_positive_term_search(kernel, eps, cap):
@@ -166,10 +180,11 @@ class TestLeastIntegerAbove:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         st.one_of(st.tuples(kernels, epsilons), st.tuples(wide, st.floats(0.0, 1e300)), ties),
-        st.one_of(st.integers(1, 10**6), st.just(2**53)),
+        st.one_of(st.integers(1, 10**6), st.just(2**53), st.just(2**104)),
     )
     @example((Kernel.laplace(5e-324), 1e-310), 2**53)
     @example((Kernel.laplace(0.05), 0.3), 2**53)
+    @example((Kernel.gaussian(1.0), 1e30), 2**104)  # about 2^50 integers above floor(guess), past 2^53
     def test_is_the_least_integer_above_epsilon(self, case, cap):
         # it only steps up from floor(guess): a search that should have stepped down fails here
         ratio, n = least_positive_term_search(*case, cap)
