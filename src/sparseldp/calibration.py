@@ -100,9 +100,7 @@ def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int):
     """Either family's report, with the engine's overlap test; the bound is range times W(t - range + 1)."""
     privacy_range = _check_int("privacy range", privacy_range, 0)
     epsilon = _check_epsilon(epsilon)
-    r, t = privacy_range, params.t
-    reach, t_max = (r, r) if params.kernel.family == LAPLACE else (r * (2 * t - r), t)
-    condition_overlap = reach < _overlap_threshold(params.kernel, epsilon, t_max)
+    condition_overlap = params.t <= _clean_radius(params.kernel, epsilon, min(privacy_range, params.t))
     condition_size = params.s >= 2 * privacy_range + 1
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
@@ -120,6 +118,25 @@ def _next_odd_at_least(value: float) -> int:
     return s if s % 2 == 1 else s + 1
 
 
+def _clean_radius(kernel: Kernel, epsilon: float, r: int) -> int | float:
+    """Largest radius with no positive overlap term at separations <= r (the engine's rule); below r if none from r up.
+
+    Radius t is clean for range R exactly when t <= _clean_radius(kernel, epsilon, min(R, t)).  From
+    `_overlap_threshold`'s n or m: Laplace gives inf when r < n, else r - 1; the Gaussian's largest term
+    r (2t - r) is < m up to (m - 1 + r^2) // (2r), inf at r = 0 and at least 2^52 - 1 when m is capped.
+    """
+    if kernel.family == LAPLACE:
+        return math.inf if r < _overlap_threshold(kernel, epsilon, r) else r - 1
+    return (_overlap_threshold(kernel, epsilon, _MAX_SIZE // 2) - 1 + r * r) // (2 * r) if r else math.inf
+
+
+def _tail_size(kernel: Kernel, delta: float, privacy_range: int) -> int:
+    """Least odd size >= 2R + 1 with R * W(t - R + 1) <= delta, uncapped; R >= 1 >= delta keeps the log >= 0."""
+    log = math.log(privacy_range / delta)
+    reach = log / kernel.param if kernel.family == LAPLACE else kernel.param * math.sqrt(2.0 * log)
+    return max(_next_odd_at_least(2 * privacy_range - 1 + 2.0 * reach), 2 * privacy_range + 1)
+
+
 def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy_range: int) -> int:
     """Smallest odd support size certified by the Laplace leakage tail bound.
 
@@ -133,18 +150,12 @@ def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 1)
     kernel = Kernel.laplace(lam)
-    if privacy_range >= _overlap_threshold(kernel, epsilon, privacy_range):
+    if privacy_range > _clean_radius(kernel, epsilon, privacy_range):
         raise SpecError(f"leakage-only bound needs lam * range <= epsilon, got {lam} * {privacy_range} > {epsilon}")
-    s = _laplace_tail_size(delta, kernel.param, privacy_range)
+    s = _tail_size(kernel, delta, privacy_range)
     if s > _MAX_SIZE:
         raise SpecError(f"the certified support size, about {float(s):.3g}, is past 2**53 - 1, the largest accepted")
     return s
-
-
-def _laplace_tail_size(delta: float, lam: float, privacy_range: int) -> int:
-    """The odd size of `laplace_sufficient_support` from valid arguments, uncapped."""
-    formula = 2 * privacy_range - 1 + 2.0 * math.log(privacy_range / delta) / lam
-    return max(_next_odd_at_least(formula), 2 * privacy_range + 1)
 
 
 def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_range: int):
@@ -152,37 +163,32 @@ def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_
 
     The lower end comes from the leakage tail, the upper end from the
     quadratic overlap condition (ties within 8 roundings clean, the engine's
-    rule); between them every odd size meets the target.  The log term is
-    clamped at 0 when delta >= range, where the tail requirement is vacuous.
-    The upper end stops at 2**53 - 1, the largest size the library accepts.
+    rule); between them every odd size meets the target.  The upper end
+    stops at 2**53 - 1, the largest size the library accepts.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 1)
     kernel = Kernel.gaussian(sigma)
-    lo = 2 * privacy_range - 1 + 2.0 * kernel.param * math.sqrt(2.0 * max(0.0, math.log(privacy_range / delta)))
-    s_lo = max(_next_odd_at_least(lo), 2 * privacy_range + 1)
-    m = _overlap_threshold(kernel, epsilon, _MAX_SIZE // 2)  # the end is the largest t with range (2t - range) < m
-    s_hi = min(2 * ((m - 1 + privacy_range**2) // (2 * privacy_range)) + 1, _MAX_SIZE)
+    s_lo = _tail_size(kernel, delta, privacy_range)
+    s_hi = min(2 * _clean_radius(kernel, epsilon, privacy_range) + 1, _MAX_SIZE)
     return None if s_lo > s_hi else (s_lo, s_hi)
 
 
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
-    # the cap covers the leakage tail for moderate delta; where a tail bound
-    # certifies a feasible size, the scan always reaches that size too.  It
-    # stops at 2^53 - 1, the largest size `_check_int` accepts; a cap already
-    # there (lam < 4.4e-15, sigma > 3.3e7) needs no tail bound, which could
-    # be past float range.
+    # the cap covers the leakage tail for moderate delta and rises to the tail size where a clean
+    # radius certifies it, read only if some size from 2 range + 1 up is clean.  It stops at 2^53 - 1,
+    # the largest size `_check_int` accepts; a cap already there (lam < 4.4e-15, sigma > 3.3e7) needs
+    # no tail bound, which could be past float range.
     if kernel.family == LAPLACE:
         cap = 2 * privacy_range + 1 + math.ceil(min(40.0 / kernel.param, 2.0**53))
-        if 0 < privacy_range < _overlap_threshold(kernel, epsilon, privacy_range) and cap < _MAX_SIZE:
-            cap = max(cap, _laplace_tail_size(delta, kernel.param, privacy_range))
     else:
         cap = 4 * privacy_range + 1 + math.ceil(min(8.0 * kernel.param * kernel.param, 2.0**53))
-        certified = privacy_range and cap < _MAX_SIZE
-        window = gaussian_support_window(epsilon, delta, kernel.param, privacy_range) if certified else None
-        if window is not None:
-            cap = max(cap, window[0])
+    radius = _clean_radius(kernel, epsilon, privacy_range)
+    if 0 < privacy_range <= radius and cap < _MAX_SIZE:
+        size = _tail_size(kernel, delta, privacy_range)
+        if size <= 2 * radius + 1:
+            cap = max(cap, size)
     return _next_odd_at_least(min(cap, _MAX_SIZE))
 
 
@@ -215,16 +221,17 @@ def min_feasible_support(
     range, which strictly decreases in s: going from radius t to t + 1 swaps
     the innermost leaking weight for a smaller outer one and grows the
     normalizer.  The size is then found by bisection on the closed form
-    (`_laplace_clean_radius`); the next smaller size is certified above
-    delta by the closed form's rounding bound, which covers every smaller
-    size too by that monotonicity.  Up to radius `_CONFIRM_RADIUS` the size
-    is confirmed as a scanned size is; past it `achieved_delta_star` and
-    `moments` are the closed forms, and the size must also be certified
-    within delta: while the closed form plus its bound exceeds delta, the
-    next size is taken instead.  So where delta lies within that bound of
-    the closed form, the answer is the smallest size surely within delta,
-    which may be the next odd size after the smallest whose exact defect is.
-    Where the bound cannot decide the size below, the query is scanned.
+    (`_laplace_clean_radius`): the least radius that the closed form's
+    rounding bound does not certify above delta, so every smaller size is
+    above delta by that monotonicity.  Up to radius `_CONFIRM_RADIUS` the
+    size is confirmed as a scanned size is, and a size that its table puts
+    above delta steps to the next, confirmed alike.  Past it
+    `achieved_delta_star` and `moments` are the closed forms, and the size
+    must also be certified within delta: while the closed form plus its
+    bound exceeds delta, the next size is taken instead.  So where delta
+    lies within that bound of the closed form, the answer is the smallest
+    size surely within delta, which may be the next odd size after the
+    smallest whose exact defect is.
 
     Otherwise blocks of sizes x separations are evaluated at once from one
     window prefix table, which grows by doubling up to the scan limit, and
@@ -245,7 +252,7 @@ def min_feasible_support(
             raise SpecError(f"scan limit must be odd, got {s_max}")
     start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
     lam = kernel.param
-    clean = kernel.family == LAPLACE and 0 < privacy_range < _overlap_threshold(kernel, epsilon, privacy_range)
+    clean = kernel.family == LAPLACE and 0 < privacy_range <= _clean_radius(kernel, epsilon, privacy_range)
     located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max) if clean and delta < 1.0 else None
     s = start if located is None else 2 * located + 1
     if located is not None and _CONFIRM_RADIUS < located:
@@ -271,7 +278,6 @@ def min_feasible_support(
                 s = int(sizes[-1]) + 2
                 continue
             s = int(sizes[surely_above.argmin()])
-        located = None  # a closed-form size that fails here is stepped past by the scan
         delta_star, _, confirming = _worst_case(kernel, s, epsilon, privacy_range)
         if delta_star <= delta:
             return DesignResult(True, s, delta_star, _window_moments(confirming.weights), s)
@@ -280,30 +286,24 @@ def min_feasible_support(
 
 
 def _laplace_clean_radius(lam: float, delta: float, privacy_range: int, start: int, s_max: int) -> int | None:
-    """Radius of the smallest size with a Laplace clean-regime defect <= delta, or None if undecided.
+    """Least radius whose Laplace clean-regime leakage is not certified above delta, or None.
 
-    Finds the least radius t >= max(range - 1, start // 2) whose closed-form
-    leakage at the range is <= delta, by bisection up to radius
-    s_max // 2 + 1, which counts as below delta, so a returned size past
-    s_max means no size up to it qualifies.  The closed form is read only
-    at radii from range - 1 up, where it holds.  Every size from `start` up
-    to 2t - 1 is certified above delta (see `min_feasible_support`):
-    radius t - 1 must beat delta by the closed form's rounding bound, with
-    lam, delta and the weights up to it normal floats.  Otherwise, and when
-    the size below 2t + 1 is at least `start` but under radius range - 1,
-    where the closed form does not reach, the answer is None.
+    Bisects on "the closed-form leakage at the range minus its rounding bound exceeds delta" over
+    radii t >= max(range - 1, start // 2), where the closed form holds, up to radius s_max // 2 + 1,
+    which counts as not certified: a returned size past s_max means no size up to it qualifies.
+    Every size from `start` up to 2t - 1 is then certified above delta (see `min_feasible_support`).
+    That needs lam, delta and the weights up to radius t - 1 to be normal floats, and no size from
+    `start` below radius range - 1, where the closed form does not reach; otherwise the answer is None.
     """
     h, t_first, t_last = privacy_range, max(privacy_range - 1, start // 2), s_max // 2
-
-    lo, hi = t_first - 1, t_last + 1  # hi counts as below delta and lo does not; neither is read
+    lo, hi = t_first - 1, t_last + 1  # lo counts as certified above delta and hi does not; neither is read
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _laplace_leakage(lam, mid, h)[0] <= delta else (mid, hi)
+        leakage, bound = _laplace_leakage(lam, mid, h)
+        lo, hi = (mid, hi) if leakage - bound > delta else (lo, mid)
     if hi <= t_first:
         return hi if 2 * hi + 1 == start else None
-    leakage, bound = _laplace_leakage(lam, hi - 1, h)
-    normal = lam >= _TINY and delta >= _TINY and lam * (hi - 1) <= 700.0
-    return hi if normal and leakage - bound > delta else None
+    return hi if lam >= _TINY and delta >= _TINY and lam * lo <= 700.0 else None
 
 
 def _laplace_leakage(lam: float, t: int, h: int) -> tuple[float, float]:

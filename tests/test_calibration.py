@@ -160,7 +160,8 @@ class TestCleanBoundSoundness:
                 for s in (2 * H - 1, 2 * H + 1, 2 * H + 9):
                     rep = laplace_clean_bound(eps, lam, s, H)
                     t = (s - 1) // 2
-                    assert rep.applicable == (rep.condition_size and no_positive_term(kernel, eps, t, H))
+                    assert rep.condition_overlap == no_positive_term(kernel, eps, t, H)
+                    assert rep.applicable == (rep.condition_size and rep.condition_overlap)
                     if rep.applicable:
                         assert rep.exact_leakage_delta == worst_case_defect(kernel, s, eps, H)[0]
                         assert rep.upper_bound >= rep.exact_leakage_delta
@@ -174,10 +175,24 @@ class TestCleanBoundSoundness:
                 for eps in around(H * (2 * t - H) / (2.0 * sigma * sigma)):
                     eps = max(eps, 0.0)  # the boundary is at or below 0 when the size condition fails
                     rep = gaussian_clean_bound(eps, sigma, s, H)
-                    assert rep.applicable == (rep.condition_size and no_positive_term(kernel, eps, t, H))
+                    assert rep.condition_overlap == no_positive_term(kernel, eps, t, H)
+                    assert rep.applicable == (rep.condition_size and rep.condition_overlap)
                     if rep.applicable:
                         assert rep.exact_leakage_delta == worst_case_defect(kernel, s, eps, H)[0]
                         assert rep.upper_bound >= rep.exact_leakage_delta
+
+    @pytest.mark.parametrize(
+        "bound, kernel, eps, clean",
+        [
+            (gaussian_clean_bound, Kernel.gaussian(1.0), 0.1, False),  # K(1) = 1 on the radius-1 table
+            (laplace_clean_bound, Kernel.laplace(1.0), 1.5, True),  # lam * 3 > eps, but lam * 1 is not
+        ],
+    )
+    def test_overlap_flag_when_the_range_exceeds_the_radius(self, bound, kernel, eps, clean):
+        # s = 3 and range 3: separations up to the radius 1 decide the flag, not the range
+        rep = bound(eps, kernel.param, 3, 3)
+        assert rep.condition_overlap == no_positive_term(kernel, eps, 1, 3) == clean
+        assert not rep.applicable
 
 
 class TestLaplaceSufficientSupport:
@@ -349,6 +364,17 @@ class TestMinFeasibleSupport:
         res = min_feasible_support(Kernel.laplace(0.5), 1.0, 0.1, 3)
         assert not res.feasible and res.s_scanned_max == 87
 
+    @pytest.mark.parametrize("kernel, eps, cap", [(Kernel.gaussian(2.0), 0.1, 45), (Kernel.laplace(0.5), 1.0, 87)])
+    def test_scan_limit_reads_no_tail_where_no_size_is_clean(self, kernel, eps, cap):
+        # range / delta overflows, so the tail size is past float range; no size from 2R + 1 up
+        # is clean, so it certifies nothing and the cap (4R + 1 + 8 sigma^2, 2R + 1 + 40 / lam) stands
+        res = min_feasible_support(kernel, eps, 1e-320, 3)
+        assert not res.feasible and res.s_scanned_max == cap
+
+    def test_scan_limit_past_float_range_where_the_tail_is_clean(self):
+        with pytest.raises(SpecError, match="got inf"):
+            min_feasible_support(Kernel.gaussian(2.0), 10.0, 1e-320, 3)
+
     def test_invalid_arguments(self):
         with pytest.raises(SpecError, match="delta"):
             min_feasible_support(Kernel.laplace(0.5), 1.0, 0.0, 3)
@@ -512,15 +538,31 @@ class TestLaplaceClosedForm:
         assert worst_case_defect(kernel, res.s_chosen, eps, r)[0] <= delta
         assert min_feasible_support(kernel, eps, delta, r, s_max=2 * t + 1).s_scanned_max == 2 * t + 1
 
-    def test_undecided_bound_falls_back_to_the_scan(self, monkeypatch):
-        # delta one float below the closed form at radius 40: the bound cannot put size 81 above it
+    def test_delta_within_the_bound_is_located(self, monkeypatch):
+        # delta one float below the closed form at radius 40: the bound certifies radius 39
+        # above it but not radius 40; size 81's table puts it above delta, so size 83 is confirmed next
         lam, eps, r = 0.3, 1.0, 3
         delta = math.nextafter(_laplace_leakage(lam, 40, r)[0], 0.0)
-        assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**6) is None
+        assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**6) == 40
         blocks = breakdown_ranks(monkeypatch)
         res = min_feasible_support(Kernel.laplace(lam), eps, delta, r)
-        assert 2 in blocks  # a block of sizes x separations was scanned
+        assert 2 not in blocks  # no block of sizes x separations was scanned
         assert res.s_chosen == linear_scan_design(Kernel.laplace(lam), eps, delta, r)
+
+    def test_delta_within_the_bound_past_the_table_radius(self, monkeypatch):
+        # delta half a bound below the closed form at radius 10^12 - 1: that radius is not
+        # certified above delta, so the closed form steps on from it, and no table is built
+        def no_table(*args):
+            raise AssertionError("a window table was built")
+
+        monkeypatch.setattr(calibration, "_WindowTable", no_table)
+        monkeypatch.setattr(privacy, "_WindowTable", no_table)
+        kernel, eps, r, t = Kernel.laplace(1e-14), 1.0, 2, 10**12 - 1
+        leakage, bound = _laplace_leakage(1e-14, t, r)
+        assert _laplace_clean_radius(1e-14, leakage - bound / 2, r, feasibility_min_support(r), 10**13 + 1) == t
+        res = min_feasible_support(kernel, eps, leakage - bound / 2, r)
+        assert res.s_chosen == 2 * t + 3 == 2 * 10**12 + 1
+        assert res == min_feasible_support(kernel, eps, leakage - 2 * bound, r)
 
     def test_located_designs_scan_no_block(self, monkeypatch):
         blocks = breakdown_ranks(monkeypatch)
