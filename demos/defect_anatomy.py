@@ -5,14 +5,14 @@ Usage: python demos/defect_anatomy.py
 For two inputs h apart, the defect decomposes into (a) support leakage, the
 mass one input places on outputs the other cannot emit at all, and (b)
 overlap excess, the positive part of the mass beyond e^eps times the
-reference on shared outputs.  This script prints the split per separation
-and shows the Gaussian threshold index that decides which overlap terms are
-live.
+reference on shared outputs.  This script prints the split per separation,
+then the Gaussian overlap terms one by one and how many of them are positive
+as the radius grows.
 """
 
 import math
 
-from sparseldp import Kernel, gaussian_overlap_threshold, separation_breakdown
+from sparseldp import Kernel, separation_breakdown, window_weights
 
 EPS = 1.0
 
@@ -30,15 +30,24 @@ for h in range(0, 8):
     b = separation_breakdown(gau, EPS, 3, h)
     print(f"{h:>3} {b.total:>9.4f} {b.support_leakage:>9.4f} {b.overlap_excess:>9.4f}")
 
-# The overlap excess at separation h is carried exactly by the offsets k
-# strictly below h/2 - sigma^2 eps / h.
-h = 3
-kappa = gaussian_overlap_threshold(h, 2.0, EPS)
-print(f"\nGaussian overlap threshold at h={h}: kappa = {kappa:.4f}")
-print(f"{'k':>3} {'term':>10} {'k < kappa':>10}")
-for k in range(h - 3, 4):
-    term = gau.weight(abs(k)) - math.exp(EPS) * gau.weight(abs(k - h))
-    print(f"{k:>3} {term:>10.5f} {str(k < kappa):>10}")
-print("Only offsets below the threshold contribute positive overlap terms, and the")
-print("threshold moves right as the radius grows, which is why the Gaussian family")
-print("cannot push its defect arbitrarily low by enlarging the support.")
+# The overlap excess at separation h sums the positive terms
+# W(|k|) - e^eps W(|k - h|) over the shared offsets k = h - t..t.
+h, t = 3, 3
+w = window_weights(gau, t)  # unnormalized weights at offsets -t..t
+print(f"\nGaussian overlap terms at h={h}, t={t} (unnormalized)")
+print(f"{'k':>3} {'term':>10} {'positive':>9}")
+for k in range(h - t, t + 1):
+    term = w[k + t] - math.exp(EPS) * w[k - h + t]
+    print(f"{k:>3} {term:>10.5f} {str(term > 0):>9}")
+
+print(f"\nPositive overlap terms at h={h} as the radius grows")
+print(f"{'t':>3} {'positive':>9} {'overlap':>9}")
+for t in (2, 3, 4, 6, 10, 20):
+    w = window_weights(gau, t)
+    positive = int((w[h:] - math.exp(EPS) * w[: w.size - h] > 0).sum())
+    print(f"{t:>3} {positive:>9} {separation_breakdown(gau, EPS, t, h).overlap_excess:>9.4f}")
+print("A term is positive exactly when k < h/2 - sigma^2 eps / h, a cut that does")
+print("not depend on the radius.  Each larger radius adds shared offsets below the")
+print("cut, so the count of positive terms grows with it and the overlap excess")
+print("settles at a positive level: the Gaussian family cannot push its defect")
+print("arbitrarily low by enlarging the support.")
