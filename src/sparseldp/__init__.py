@@ -35,7 +35,6 @@ from .mechanisms import (
     spec_from_dict,
     truncated_pmf,
     truncated_spec,
-    window_normalizer,
     window_weights,
 )
 from .privacy import (
@@ -43,10 +42,8 @@ from .privacy import (
     PureLdpResult,
     brute_force_defect,
     exhaustive_event_defect,
-    gaussian_overlap_threshold,
     ordered_defect,
     pointwise_loss,
-    pure_ldp_bound,
     pure_ldp_epsilon,
     separation_breakdown,
     separation_profile,
@@ -74,7 +71,6 @@ __all__ = [
     "exhaustive_event_defect",
     "feasibility_min_support",
     "gaussian_clean_bound",
-    "gaussian_overlap_threshold",
     "gaussian_support_window",
     "laplace_clean_bound",
     "laplace_sufficient_support",
@@ -82,7 +78,6 @@ __all__ = [
     "min_feasible_support",
     "ordered_defect",
     "pointwise_loss",
-    "pure_ldp_bound",
     "pure_ldp_epsilon",
     "sample",
     "sample_counts",
@@ -93,7 +88,6 @@ __all__ = [
     "sweep_support",
     "truncated_pmf",
     "truncated_spec",
-    "window_normalizer",
     "window_weights",
     "worst_case_defect",
 ]

@@ -77,11 +77,10 @@ def feasibility_min_support(privacy_range: int) -> int:
 def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) -> CleanBoundReport:
     """Leakage-only defect for the Laplace window family, when it applies.
 
-    The overlap excess vanishes across the range when lam * range <= epsilon
-    and the window overlaps at every range separation (s >= 2 * range + 1);
-    the exact defect is then the leakage at the largest separation and is
-    bounded by range * exp(-lam * (t - range + 1)).  A product within 8
-    roundings above epsilon is a tie and counts as clean, the engine's rule.
+    It applies when lam * range <= epsilon, so no overlap term up to the
+    range is positive (ties as `_clean_radius` rules), and s >= 2 * range + 1.
+    The exact defect is then the leakage at the range, bounded by
+    range * exp(-lam * (t - range + 1)).
     """
     return _clean_bound(TruncatedParams(Kernel.laplace(lam), s), epsilon, privacy_range)
 
@@ -89,9 +88,10 @@ def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) 
 def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: int) -> CleanBoundReport:
     """Leakage-only defect for the Gaussian window family, when it applies.
 
-    The overlap condition is epsilon >= range * (2t - range) / (2 sigma^2),
-    with ties within 8 roundings clean (the engine's rule); the bound is
-    range * exp(-(t - range + 1)^2 / (2 sigma^2)).
+    It applies when range * (2t - range) / (2 sigma^2) <= epsilon, so no
+    overlap term up to the range is positive (ties as `_clean_radius` rules),
+    and s >= 2 * range + 1.  The exact defect is then the leakage at the
+    range, bounded by range * exp(-(t - range + 1)^2 / (2 sigma^2)).
     """
     return _clean_bound(TruncatedParams(Kernel.gaussian(sigma), s), epsilon, privacy_range)
 

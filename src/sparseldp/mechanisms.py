@@ -31,7 +31,7 @@ class UnknownInputError(SpecError):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Distance kernel: weight(d) = exp(-lam * d) or exp(-d^2 / (2 sigma^2)).
+    """Distance kernel: the weight at distance d is exp(-lam * d) or exp(-d^2 / (2 sigma^2)).
 
     `param` is the inverse temperature lam for the discrete-Laplace family
     and the scale sigma for the Gaussian family; it must be positive.
@@ -64,10 +64,6 @@ class Kernel:
         else:
             out = -(d * d) / (2.0 * self.param * self.param)
         return out if out.ndim else float(out)
-
-    def weight(self, distance):
-        w = np.exp(self.log_weight(distance))
-        return w if isinstance(w, np.ndarray) else float(w)
 
 
 def _check_int(name: str, value, minimum: int | None = None):
@@ -243,10 +239,6 @@ def window_weights(kernel: Kernel, radius: int) -> np.ndarray:
     radius = _check_int("radius", radius, 0)
     k = np.abs(np.arange(-radius, radius + 1)).astype(float)
     return np.exp(kernel.log_weight(k))
-
-
-def window_normalizer(kernel: Kernel, radius: int) -> float:
-    return float(window_weights(kernel, radius).sum())
 
 
 def truncated_pmf(params: TruncatedParams, x: int) -> dict[int, float]:

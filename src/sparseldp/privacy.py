@@ -23,7 +23,6 @@ from .mechanisms import (
     TruncatedParams,
     _check_epsilon,
     _check_int,
-    _check_real,
 )
 
 
@@ -101,13 +100,6 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
         if loss.flat[j] > best:
             best, witness = float(loss.flat[j]), (x, inputs[j // len(common)], common[j % len(common)])
     return PureLdpResult(True, best, witness)
-
-
-def pure_ldp_bound(lam: float, diameter: float, log_normalizer_ratio: float = 0.0) -> float:
-    """Upper bound lam * diameter + log-normalizer term on the exact pure level."""
-    diameter = _check_real("diameter", diameter, "be >= 0")
-    ratio = _check_real("log-normalizer ratio", log_normalizer_ratio, "be a finite number", lambda v: True)
-    return Kernel.laplace(lam).param * diameter + ratio
 
 
 def ordered_defect(spec: MechanismSpec, x: int, x_prime: int, epsilon: float) -> DefectBreakdown:
@@ -360,15 +352,3 @@ def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> t
     total = leakage + excess  # exactly 0 at separation 0, so the first argmax is 0 when nothing leaks
     return float(total.max()), int(total.argmax()), table
 
-
-def gaussian_overlap_threshold(separation: int, sigma: float, epsilon: float) -> float:
-    """Index threshold below which Gaussian overlap excess terms are positive.
-
-    For window inputs `separation` = h apart, the overlap term at offset k is
-    strictly positive exactly when k < h/2 - sigma^2 epsilon / h; a term that
-    is exactly zero is classified as non-positive.
-    """
-    h = _check_int("separation", separation, 1)
-    sigma = Kernel.gaussian(sigma).param
-    epsilon = _check_epsilon(epsilon)
-    return h / 2.0 - sigma * (sigma * epsilon) / h  # sigma * sigma alone can overflow

@@ -22,13 +22,11 @@ from sparseldp import (
     brute_force_defect,
     exhaustive_event_defect,
     gaussian_clean_bound,
-    gaussian_overlap_threshold,
     gaussian_support_window,
     laplace_clean_bound,
     laplace_sufficient_support,
     min_feasible_support,
     ordered_defect,
-    pure_ldp_bound,
     sample,
     sample_counts,
     separation_breakdown,
@@ -60,13 +58,11 @@ CALLS = {
     "gaussian_clean_bound": lambda family, a, b, c, d: gaussian_clean_bound(a, b, c, d),
     "laplace_sufficient_support": lambda family, a, b, c, d: laplace_sufficient_support(a, b, c, d),
     "gaussian_support_window": lambda family, a, b, c, d: gaussian_support_window(a, b, c, d),
-    "gaussian_overlap_threshold": lambda family, a, b, c: gaussian_overlap_threshold(a, b, c),
     "distance matrix": lambda family, a, b, c: MechanismSpec(
         Kernel(family, 1.0), (0, 1), (0, 1), PAIR.supports, ((a, b), (c, 0.0))
     ),
     "brute_force_defect": lambda family, a, b, c: brute_force_defect([a, 0.5], [0.5, b], c),
     "exhaustive_event_defect": lambda family, a, b, c: exhaustive_event_defect([0.5, a], [b, 0.5], c),
-    "pure_ldp_bound": lambda family, a, b, c: pure_ldp_bound(a, b, c),
     "sample window": lambda family, a, b: sample(WINDOW, a, b, 3),
     "sample spec": lambda family, a, b: sample(PAIR, a, b, 3),
     "sample_counts window": lambda family, a, b, c: sample_counts(WINDOW, a, b, c),
@@ -93,7 +89,6 @@ def test_returns_or_raises_spec_error(name, family, data):
         (lambda: brute_force_defect([0.5, 0.5], [0.5, 0.5], 800.0), 0.0),
         (lambda: exhaustive_event_defect([0.5, 0.5], [0.5, 0.5], 800.0), 0.0),
         (lambda: ordered_defect(PAIR, 0, 1, 1e308).total, 0.0),
-        (lambda: gaussian_overlap_threshold(1, 1e300, 0.0), 0.5),
         # 2 sigma^2 overflows, so every weight is 1 and the engine counts no positive term at any size
         (lambda: gaussian_support_window(0.0, 1.0, 1e200, 1), (3, 2**53 - 1)),
         (lambda: gaussian_support_window(0.5, 0.5, 1e300, 2), None),  # lo is past 2**53 - 1
@@ -104,9 +99,9 @@ def test_returns_or_raises_spec_error(name, family, data):
         (lambda: min_feasible_support(Kernel.laplace(1e-320), 1.0, 0.1, 2).s_chosen, 21),
         (lambda: min_feasible_support(Kernel.gaussian(1.0), 1e308, 0.5, 1).s_chosen, 3),
     ],
-    ids=["brute eps 800", "events eps 800", "ordered eps 1e308", "threshold sigma 1e300", "window sigma 1e200",
-         "window sigma 1e300", "window eps 1e308", "window range 2**40", "sufficient lam 1e-320", "design sigma 1e200",
-         "design lam 1e-320", "design eps 1e308"],
+    ids=["brute eps 800", "events eps 800", "ordered eps 1e308", "window sigma 1e200", "window sigma 1e300",
+         "window eps 1e308", "window range 2**40", "sufficient lam 1e-320", "design sigma 1e200", "design lam 1e-320",
+         "design eps 1e308"],
 )
 def test_extreme_valid_values_are_answered(call, expected):
     assert call() == expected

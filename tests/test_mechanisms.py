@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -25,10 +27,10 @@ from sparseldp import (
     sweep_support,
     truncated_pmf,
     truncated_spec,
-    window_normalizer,
     window_weights,
     worst_case_defect,
 )
+import sparseldp
 from sparseldp import mechanisms
 from sparseldp.mechanisms import _SAMPLE_CHUNK
 from conftest import one_shot_sample, random_spec
@@ -552,8 +554,22 @@ class TestSpecJson:
             spec_from_dict([])
 
 
-def test_window_normalizer_matches_spec():
+def test_window_weights_sum_to_the_spec_normalizer():
     for kernel in (Kernel.laplace(0.4), Kernel.gaussian(1.7)):
         for t in (0, 1, 4):
             spec = truncated_spec(TruncatedParams(kernel, 2 * t + 1), [0])
-            assert window_normalizer(kernel, t) == spec.normalizer(0)
+            assert float(window_weights(kernel, t).sum()) == spec.normalizer(0)
+
+
+def test_public_names_are_unique_bound_by_the_star_import_and_documented():
+    names = sparseldp.__all__
+    assert len(names) == len(set(names))
+    star = {}
+    exec("from sparseldp import *", star)  # raises if an entry does not resolve
+    del star["__builtins__"]
+    assert sorted(star) == sorted(names)
+    for name in names:
+        obj = getattr(sparseldp, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            # a dataclass without a docstring gets its signature as __doc__, so read the source
+            assert ast.get_docstring(ast.parse(inspect.getsource(obj)).body[0]), name

@@ -13,10 +13,8 @@ from sparseldp import (
     TruncatedParams,
     brute_force_defect,
     exhaustive_event_defect,
-    gaussian_overlap_threshold,
     ordered_defect,
     pointwise_loss,
-    pure_ldp_bound,
     pure_ldp_epsilon,
     sample,
     sample_counts,
@@ -116,16 +114,6 @@ class TestPureLdp:
 
 
 class TestPureLdpBound:
-    def test_reduces_to_lam_times_diameter(self):
-        assert pure_ldp_bound(0.5, 2.0) == 1.0
-
-    def test_zero_diameter(self):
-        assert pure_ldp_bound(0.5, 0.0, 0.25) == 0.25
-
-    def test_negative_diameter_rejected(self):
-        with pytest.raises(SpecError):
-            pure_ldp_bound(0.5, -1.0)
-
     def test_dominates_exact_level_on_common_support(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
@@ -139,8 +127,7 @@ class TestPureLdpBound:
                 for x in spec.inputs
                 for xp in spec.inputs
             )
-            bound = pure_ldp_bound(spec.kernel.param, diameter, max_log_ratio)
-            assert bound >= res.epsilon_star - 1e-12
+            assert spec.kernel.param * diameter + max_log_ratio >= res.epsilon_star - 1e-12
 
 
 class TestOrderedDefect:
@@ -426,7 +413,6 @@ class TestWorstCaseDefect:
         lambda n: separation_breakdown(Kernel.laplace(0.5), 1.0, n, 1),
         lambda n: separation_breakdown(Kernel.laplace(0.5), 1.0, 3, n),
         lambda n: separation_profile(Kernel.laplace(0.5), 7, 1.0, n),
-        lambda n: gaussian_overlap_threshold(n, 1.0, 1.0),
         lambda n: window_weights(Kernel.laplace(0.5), n),
         lambda n: sample(TruncatedParams(Kernel.laplace(0.5), 7), 0, 0, n),
         lambda n: sample_counts(TruncatedParams(Kernel.laplace(0.5), 7), 0, 0, n),
@@ -444,57 +430,34 @@ def test_size_2_to_53_is_accepted():
     assert separation_breakdown(kernel, 1.0, 3, 2**53).total == 1.0
 
 
-class TestGaussianOverlapThreshold:
-    def test_direct_substitution(self):
-        assert gaussian_overlap_threshold(2, 1.0, 1.0) == 0.5
+class TestPositiveTerms:
+    # epsilons away from every tie lam * n and h * j / (2 sigma^2), where the float weights decide each term exactly
+    KERNELS = (Kernel.laplace(0.5), Kernel.laplace(0.7), Kernel.gaussian(1.0), Kernel.gaussian(2.0))
+    EPSILONS = (0.3, 1.2, 2.7)
 
-    def test_zero_privacy(self):
-        assert gaussian_overlap_threshold(2, 1.0, 0.0) == 1.0
+    @staticmethod
+    def counted(kernel, t, h, eps):
+        """Number of overlap terms W(|k|) - e^eps W(|k - h|) > 0, k = h - t..t, from the window weights."""
+        w = window_weights(kernel, t)  # offsets -t..t
+        return int((w[h:] - math.exp(eps) * w[: w.size - h] > 0).sum())
 
-    def test_huge_sigma_at_zero_privacy(self):
-        # sigma^2 alone overflows; sigma * (sigma * eps) is exactly 0
-        assert gaussian_overlap_threshold(1, 1e300, 0.0) == 0.5
-
-    def test_zero_separation_rejected(self):
-        with pytest.raises(SpecError):
-            gaussian_overlap_threshold(0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("sigma, eps", [(1.0, -1.0), (-3.0, float("nan")), (1.0, float("nan")),
-                                            (1.0, float("inf")), (0.0, 1.0), (float("nan"), 1.0), (True, 1.0),
-                                            (1.0, True)])
-    def test_bad_sigma_or_epsilon_rejected(self, sigma, eps):
-        with pytest.raises(SpecError):
-            gaussian_overlap_threshold(2, sigma, eps)
-
-    def test_classifies_positive_overlap_terms(self):
-        sigma, eps, h, t = 2.0, 1.0, 3, 3
-        kappa = gaussian_overlap_threshold(h, sigma, eps)
-        kernel = Kernel.gaussian(sigma)
-        for k in range(h - t, t + 1):
-            term = kernel.weight(abs(k)) - math.exp(eps) * kernel.weight(abs(k - h))
-            assert (term > 0) == (k < kappa)
-
-    def test_engine_counts_the_offsets_below_the_threshold(self):
-        # K(h), the engine's count of positive overlap terms, is the number of
-        # overlap offsets h-t..t below kappa
-        for sigma in (1.0, 2.0):
-            for t in (2, 3, 4):
-                table = _WindowTable(Kernel.gaussian(sigma), t)
+    def cases(self):
+        for kernel in self.KERNELS:
+            for t in (2, 3, 4, 7):
                 for h in range(1, 2 * t + 1):
-                    for eps in (0.25, 1.0, 2.5):
-                        kappa = gaussian_overlap_threshold(h, sigma, eps)
-                        below = sum(1 for k in range(h - t, t + 1) if k < kappa)
-                        assert table.positive_terms(t, h, eps) == below
+                    if kernel.family == "laplace":
+                        ratios = [kernel.param * n for n in range(1, h + 1)]
+                    else:
+                        ratios = [h * j / (2 * kernel.param**2) for j in range(-2 * t, 2 * t + 1)]
+                    for eps in self.EPSILONS:
+                        assert min(abs(eps - r) for r in ratios) > 0.01  # no tie
+                        yield kernel, t, h, eps
 
-    def test_threshold_consistent_with_breakdown(self):
-        # whenever every overlap index sits at or above the threshold, the excess is zero
-        for sigma in (1.0, 2.0):
-            for t in (2, 3, 4):
-                for h in range(1, 2 * t + 1):
-                    for eps in (0.25, 1.0, 2.5):
-                        kappa = gaussian_overlap_threshold(h, sigma, eps)
-                        b = separation_breakdown(Kernel.gaussian(sigma), eps, t, h)
-                        if kappa <= h - t:  # no overlap index below the threshold
-                            assert b.overlap_excess == 0.0
-                        if kappa > h - t:
-                            assert b.overlap_excess > 0.0
+    def test_engine_counts_the_positive_overlap_terms(self):
+        for kernel, t, h, eps in self.cases():
+            assert _WindowTable(kernel, t).positive_terms(t, h, eps) == self.counted(kernel, t, h, eps)
+
+    def test_excess_is_zero_exactly_where_no_term_is_positive(self):
+        for kernel, t, h, eps in self.cases():
+            excess = separation_breakdown(kernel, eps, t, h).overlap_excess
+            assert (excess == 0.0) == (self.counted(kernel, t, h, eps) == 0), (kernel, t, h, eps, excess)
