@@ -351,4 +351,3 @@ def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> t
     leakage, excess, _ = table.breakdown(t, np.arange(min(privacy_range, 2 * t + 1) + 1), epsilon)
     total = leakage + excess  # exactly 0 at separation 0, so the first argmax is 0 when nothing leaks
     return float(total.max()), int(total.argmax()), table
-
