@@ -561,15 +561,20 @@ def test_window_weights_sum_to_the_spec_normalizer():
             assert float(window_weights(kernel, t).sum()) == spec.normalizer(0)
 
 
-def test_public_names_are_unique_bound_by_the_star_import_and_documented():
+def test_public_names_are_unique_and_bound_by_the_star_import():
     names = sparseldp.__all__
     assert len(names) == len(set(names))
     star = {}
     exec("from sparseldp import *", star)  # raises if an entry does not resolve
     del star["__builtins__"]
     assert sorted(star) == sorted(names)
-    for name in names:
-        obj = getattr(sparseldp, name)
-        if inspect.isclass(obj) or inspect.isfunction(obj):
-            # a dataclass without a docstring gets its signature as __doc__, so read the source
-            assert ast.get_docstring(ast.parse(inspect.getsource(obj)).body[0]), name
+
+
+PUBLIC_CODE = [n for n in sparseldp.__all__ if inspect.isclass(getattr(sparseldp, n))
+               or inspect.isfunction(getattr(sparseldp, n))]
+
+
+@pytest.mark.parametrize("name", PUBLIC_CODE)
+def test_public_function_or_class_is_documented(name):
+    # a dataclass without a docstring gets its signature as __doc__, so read the source
+    assert ast.get_docstring(ast.parse(inspect.getsource(getattr(sparseldp, name))).body[0])

@@ -430,9 +430,14 @@ def test_size_2_to_53_is_accepted():
     assert separation_breakdown(kernel, 1.0, 3, 2**53).total == 1.0
 
 
+@pytest.mark.parametrize("t", [2, 3, 4, 7])
+@pytest.mark.parametrize(
+    "kernel",
+    [Kernel.laplace(0.5), Kernel.laplace(0.7), Kernel.gaussian(1.0), Kernel.gaussian(2.0)],
+    ids=["laplace 0.5", "laplace 0.7", "gaussian 1", "gaussian 2"],
+)
 class TestPositiveTerms:
     # epsilons away from every tie lam * n and h * j / (2 sigma^2), where the float weights decide each term exactly
-    KERNELS = (Kernel.laplace(0.5), Kernel.laplace(0.7), Kernel.gaussian(1.0), Kernel.gaussian(2.0))
     EPSILONS = (0.3, 1.2, 2.7)
 
     @staticmethod
@@ -441,23 +446,22 @@ class TestPositiveTerms:
         w = window_weights(kernel, t)  # offsets -t..t
         return int((w[h:] - math.exp(eps) * w[: w.size - h] > 0).sum())
 
-    def cases(self):
-        for kernel in self.KERNELS:
-            for t in (2, 3, 4, 7):
-                for h in range(1, 2 * t + 1):
-                    if kernel.family == "laplace":
-                        ratios = [kernel.param * n for n in range(1, h + 1)]
-                    else:
-                        ratios = [h * j / (2 * kernel.param**2) for j in range(-2 * t, 2 * t + 1)]
-                    for eps in self.EPSILONS:
-                        assert min(abs(eps - r) for r in ratios) > 0.01  # no tie
-                        yield kernel, t, h, eps
+    def cases(self, kernel, t):
+        for h in range(1, 2 * t + 1):
+            if kernel.family == "laplace":
+                ratios = [kernel.param * n for n in range(1, h + 1)]
+            else:
+                ratios = [h * j / (2 * kernel.param**2) for j in range(-2 * t, 2 * t + 1)]
+            for eps in self.EPSILONS:
+                assert min(abs(eps - r) for r in ratios) > 0.01  # no tie
+                yield h, eps
 
-    def test_engine_counts_the_positive_overlap_terms(self):
-        for kernel, t, h, eps in self.cases():
-            assert _WindowTable(kernel, t).positive_terms(t, h, eps) == self.counted(kernel, t, h, eps)
+    def test_engine_counts_the_positive_overlap_terms(self, kernel, t):
+        table = _WindowTable(kernel, t)
+        for h, eps in self.cases(kernel, t):
+            assert table.positive_terms(t, h, eps) == self.counted(kernel, t, h, eps), (h, eps)
 
-    def test_excess_is_zero_exactly_where_no_term_is_positive(self):
-        for kernel, t, h, eps in self.cases():
+    def test_excess_is_zero_exactly_where_no_term_is_positive(self, kernel, t):
+        for h, eps in self.cases(kernel, t):
             excess = separation_breakdown(kernel, eps, t, h).overlap_excess
-            assert (excess == 0.0) == (self.counted(kernel, t, h, eps) == 0), (kernel, t, h, eps, excess)
+            assert (excess == 0.0) == (self.counted(kernel, t, h, eps) == 0), (h, eps, excess)
