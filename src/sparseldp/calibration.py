@@ -23,6 +23,7 @@ from .mechanisms import (
     _check_delta,
     _check_epsilon,
     _check_int,
+    _check_list,
     _check_real,
     _window_moments,
 )
@@ -220,26 +221,23 @@ def min_feasible_support(
     the overlap excess is exactly 0, so the defect is the leakage at the
     range, which strictly decreases in s: going from radius t to t + 1 swaps
     the innermost leaking weight for a smaller outer one and grows the
-    normalizer.  The size is then found by bisection on the closed form
-    (`_laplace_clean_radius`): the least radius that the closed form's
-    rounding bound does not certify above delta, so every smaller size is
-    above delta by that monotonicity.  Up to radius `_CONFIRM_RADIUS` the
-    size is confirmed as a scanned size is, and a size that its table puts
-    above delta steps to the next, confirmed alike.  Past it
-    `achieved_delta_star` and `moments` are the closed forms, and the size
-    must also be certified within delta: while the closed form plus its
-    bound exceeds delta, the next size is taken instead.  So where delta
-    lies within that bound of the closed form, the answer is the smallest
-    size surely within delta, which may be the next odd size after the
-    smallest whose exact defect is.
+    normalizer.  Bisection on the closed form (`_laplace_clean_radius`) then
+    locates the least radius that the closed form's rounding bound does not
+    certify above delta, and every smaller size is above delta by that
+    monotonicity.  Otherwise blocks of sizes x separations are evaluated at
+    once from one window prefix table, which grows by doubling up to the scan
+    limit; a size is surely above delta if its value minus the table's
+    rounding bound for its radius is.
 
-    Otherwise blocks of sizes x separations are evaluated at once from one
-    window prefix table, which grows by doubling up to the scan limit, and
-    minimality comes from the scan order.  A size is surely above delta if
-    its value minus the table's rounding bound for its radius is.  The first
-    other size is confirmed on the radius-t table that `worst_case_defect`
-    reads, so it is the first size that call finds feasible;
-    `achieved_delta_star` and `moments` come from that table.
+    One loop confirms the sizes not surely above delta in ascending order,
+    so minimality comes from the scan order.  It reads the radius-t table
+    that `worst_case_defect` reads, so the answer is the first size that call
+    finds feasible, with `achieved_delta_star` and `moments` from that table.
+    When the located radius is past `_CONFIRM_RADIUS`, the closed forms
+    confirm every size instead, and a size counts only when its closed form
+    plus its bound is within delta.  So where delta lies within that bound of
+    the closed form, the answer may be the next odd size after the smallest
+    whose exact defect is within delta.
     """
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
@@ -255,13 +253,7 @@ def min_feasible_support(
     clean = kernel.family == LAPLACE and 0 < privacy_range <= _clean_radius(kernel, epsilon, privacy_range)
     located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max) if clean and delta < 1.0 else None
     s = start if located is None else 2 * located + 1
-    if located is not None and _CONFIRM_RADIUS < located:
-        leakage, bound = _laplace_leakage(lam, located, privacy_range)
-        while leakage + bound > delta and s <= s_max:  # answer only a size surely within delta
-            located, s = located + 1, s + 2
-            leakage, bound = _laplace_leakage(lam, located, privacy_range)
-        if s <= s_max:
-            return DesignResult(True, s, leakage, _laplace_moments(lam, located), s)
+    closed = located is not None and _CONFIRM_RADIUS < located  # fixed here, so a search on tables stays on them
     hs = np.arange(1, privacy_range + 1)
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
     table = None
@@ -278,9 +270,13 @@ def min_feasible_support(
                 s = int(sizes[-1]) + 2
                 continue
             s = int(sizes[surely_above.argmin()])
-        delta_star, _, confirming = _worst_case(kernel, s, epsilon, privacy_range)
-        if delta_star <= delta:
-            return DesignResult(True, s, delta_star, _window_moments(confirming.weights), s)
+        if closed:
+            delta_star, bound = _laplace_leakage(lam, s // 2, privacy_range)
+        else:
+            (delta_star, _, confirming), bound = _worst_case(kernel, s, epsilon, privacy_range), 0.0
+        if delta_star + bound <= delta:  # a closed form answers only a size surely within delta
+            moments = _laplace_moments(lam, s // 2) if closed else _window_moments(confirming.weights)
+            return DesignResult(True, s, delta_star, moments, s)
         s += 2
     return DesignResult(False, None, None, None, s_max if start <= s_max else 0)
 
@@ -373,9 +369,8 @@ def _mean_terms(x: float) -> tuple[float, float]:
     return 1.0 / x - 1.0 / em1, 1.0 / (em1 * -math.expm1(-x)) - 1.0 / (x * x)
 
 
-def _sweep(points, epsilon: float, privacy_range: int, empty_message: str) -> list[SweepRow]:
+def _sweep(points: list, epsilon: float, privacy_range: int, empty_message: str) -> list[SweepRow]:
     # one row per (varied value, kernel, support size) point
-    points = list(points)
     if not points:
         raise SpecError(empty_message)
     rows = []
@@ -388,11 +383,11 @@ def _sweep(points, epsilon: float, privacy_range: int, empty_message: str) -> li
 
 def sweep_support(kernel: Kernel, epsilon: float, privacy_range: int, s_list) -> list[SweepRow]:
     """One row (s, worst-case defect, r1, r2) per support size."""
-    points = ((s, kernel, s) for s in s_list)
+    points = [(s, kernel, s) for s in _check_list("support sizes", s_list, "sizes")]
     return _sweep(points, epsilon, privacy_range, "support sweep needs at least one size")
 
 
 def sweep_param(family: str, param_list, epsilon: float, privacy_range: int, s: int) -> list[SweepRow]:
     """One row per kernel parameter value at a fixed support size."""
-    points = ((p, Kernel(family, p), s) for p in param_list)
+    points = [(p, Kernel(family, p), s) for p in _check_list("kernel parameters", param_list, "numbers")]
     return _sweep(points, epsilon, privacy_range, "parameter sweep needs at least one value")

@@ -74,6 +74,18 @@ def _check_int(name: str, value, minimum: int | None = None):
     return int(value)
 
 
+def _check_list(name: str, values, of: str = "integers") -> tuple:
+    """`values` as a tuple; SpecError if it is not a collection or, when `of` is "integers", holds a non-int or bool."""
+    try:
+        items = tuple(values)  # a string passes here, and every item check rejects its characters
+    except TypeError:  # None, a number or another value that cannot be iterated
+        raise SpecError(f"{name} must be a list of {of}, got {values!r}") from None
+    for v in items if of == "integers" else ():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise SpecError(f"{name} must contain integers, got {v!r}")
+    return tuple(map(int, items)) if of == "integers" else items
+
+
 def _check_real(name: str, value, requirement: str, accept=lambda v: v >= 0, where=()) -> float:
     """`value` as a float if it is a real number, not a bool, whose float is finite and passes `accept` (>= 0)."""
     try:
@@ -97,10 +109,11 @@ def _check_delta(delta) -> float:
 class MechanismSpec:
     """A sparse channel: kernel, finite alphabets, and per-input supports.
 
-    `distance` is None for |x - y| on the integers, or a matrix of
-    nonnegative reals indexed by (input position, output position) with
-    zero diagonal wherever an input also appears as an output.  Validation
-    also keeps each input's output columns and log kernel weights over S(x),
+    `distance` is None for |x - y| on the integers, or a matrix of nonnegative
+    reals indexed by (input position, output position) with zero diagonal
+    wherever an input also appears as an output.  Validation checks every symbol
+    and shape, for `spec_from_dict` too, and raises SpecError on any violation.
+    It also keeps each input's output columns and log kernel weights over S(x),
     in support order, once; `normalizer`, every pmf, sampling and the pure level read them.
     Instances are immutable after validation and safe to share across threads.
     """
@@ -112,23 +125,24 @@ class MechanismSpec:
     distance: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(_check_int("input symbol", x) for x in self.inputs))
-        object.__setattr__(self, "outputs", tuple(_check_int("output symbol", y) for y in self.outputs))
-        if not self.inputs:
-            raise SpecError("inputs must be nonempty")
-        if not self.outputs:
-            raise SpecError("outputs must be nonempty")
-        if len(set(self.inputs)) != len(self.inputs):
-            raise SpecError("inputs contain duplicates")
+        for field in ("inputs", "outputs"):
+            symbols = _check_list(field, getattr(self, field))
+            if not symbols:
+                raise SpecError(f"{field} must be nonempty")
+            if len(set(symbols)) != len(symbols):
+                raise SpecError(f"{field} contain duplicates")
+            object.__setattr__(self, field, symbols)
         index = {y: j for j, y in enumerate(self.outputs)}
-        if len(index) != len(self.outputs):
-            raise SpecError("outputs contain duplicates")
+        try:
+            declared = dict(self.supports)
+        except (TypeError, ValueError):  # neither a mapping nor (input, support) pairs
+            raise SpecError(f"supports must map each input to a list of integers, got {self.supports!r}") from None
         supports, columns = {}, {}
-        for x, sup in dict(self.supports).items():
+        for x, sup in declared.items():
             x = _check_int("support key", x)
             if x not in self.inputs:
                 raise SpecError(f"supports declare unknown input {x}")
-            sup = tuple(sorted({_check_int("support element", y) for y in sup}))
+            sup = tuple(sorted(set(_check_list(f"support of input {x}", sup))))
             if not sup:
                 raise SpecError(f"support of input {x} is empty")
             cols = [index.get(y) for y in sup]
@@ -142,9 +156,10 @@ class MechanismSpec:
         if self.distance is not None:
             rows = tuple(
                 tuple(
-                    _check_real("distance[{}][{}]", v, "be a finite number >= 0", where=(i, j)) for j, v in enumerate(r)
+                    _check_real("distance[{}][{}]", v, "be a finite number >= 0", where=(i, j))
+                    for j, v in enumerate(_check_list(f"distance[{i}]", r, "numbers"))
                 )
-                for i, r in enumerate(self.distance)
+                for i, r in enumerate(_check_list("distance", self.distance, "rows"))
             )
             if len(rows) != len(self.inputs) or any(len(r) != len(self.outputs) for r in rows):
                 raise SpecError(f"distance matrix must be {len(self.inputs)} x {len(self.outputs)} (inputs x outputs)")
@@ -270,7 +285,7 @@ def _row(mechanism: Union[MechanismSpec, TruncatedParams], x: int) -> tuple[Sequ
 def truncated_spec(params: TruncatedParams, inputs: Sequence[int]) -> MechanismSpec:
     """Materialize the window family as an explicit finite spec on `inputs`."""
     t = params.t
-    inputs = tuple(_check_int("input symbol", x) for x in inputs)
+    inputs = tuple(_check_int("input symbol", x) for x in _check_list("inputs", inputs, "input symbols"))
     supports = {x: tuple(range(x - t, x + t + 1)) for x in inputs}
     outputs = tuple(sorted({y for sup in supports.values() for y in sup}))
     return MechanismSpec(params.kernel, inputs, outputs, supports)
@@ -368,7 +383,9 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
           "distance": {"type": "abs"} | {"type": "matrix", "values": [[number]]}
         }
 
-    `distance` is optional and defaults to absolute difference.
+    `distance` is optional and defaults to absolute difference.  This checks only
+    the JSON form: the document and kernel objects, canonical keys in `supports`
+    and the distance document; `MechanismSpec` checks every value it passes on.
     """
     if not isinstance(doc, Mapping):
         raise SpecError("spec document must be a JSON object")
@@ -376,13 +393,6 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
     if not isinstance(kernel_doc, Mapping) or "family" not in kernel_doc or "param" not in kernel_doc:
         raise SpecError('spec needs "kernel": {"family": ..., "param": ...}')
     kernel = Kernel(kernel_doc["family"], kernel_doc["param"])
-
-    for key in ("inputs", "outputs"):
-        if not isinstance(doc.get(key), list):
-            raise SpecError(f'spec needs "{key}": [int, ...]')
-        for v in doc[key]:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise SpecError(f"{key} must contain integers, got {v!r}")
     supports_doc = doc.get("supports")
     if not isinstance(supports_doc, Mapping):
         raise SpecError('spec needs "supports": {"<input>": [int, ...]}')
@@ -394,12 +404,7 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
             x = None
         if x is None or str(x) != key:  # "01", " 1" and "+1" would collide with "1"
             raise SpecError(f"supports key {key!r} is not an integer written in canonical form")
-        if not isinstance(sup, list):
-            raise SpecError(f"support of input {x} must be a list of integers")
-        for v in sup:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise SpecError(f"support of input {x} must contain integers, got {v!r}")
-        supports[x] = tuple(sup)
+        supports[x] = sup
 
     distance = None
     dist_doc = doc.get("distance")
@@ -407,14 +412,13 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
         if not isinstance(dist_doc, Mapping) or "type" not in dist_doc:
             raise SpecError('distance must be {"type": "abs"} or {"type": "matrix", "values": [[number]]}')
         if dist_doc["type"] == "matrix":
-            values = dist_doc.get("values")
-            if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
+            distance = dist_doc.get("values")
+            if distance is None:  # the constructor would read None as the absolute difference
                 raise SpecError("distance matrix needs numeric values as a list of rows")
-            distance = values
         elif dist_doc["type"] != "abs":
             raise SpecError(f"distance type must be \"abs\" or \"matrix\", got {dist_doc['type']!r}")
 
-    return MechanismSpec(kernel, tuple(doc["inputs"]), tuple(doc["outputs"]), supports, distance)
+    return MechanismSpec(kernel, doc.get("inputs"), doc.get("outputs"), supports, distance)
 
 
 def load_spec(path) -> MechanismSpec:

@@ -434,6 +434,20 @@ def breakdown_ranks(monkeypatch):
     return ranks
 
 
+def table_radii(monkeypatch):
+    """The radius of each `_WindowTable` built from here on."""
+    radii = []
+
+    class Counted(_WindowTable):
+        def __init__(self, kernel, t_max):
+            radii.append(t_max)
+            super().__init__(kernel, t_max)
+
+    monkeypatch.setattr(calibration, "_WindowTable", Counted)
+    monkeypatch.setattr(privacy, "_WindowTable", Counted)
+    return radii
+
+
 class TestLaplaceClosedForm:
     """The clean-regime Laplace design: closed-form size, its certificate, and the past-table answer."""
 
@@ -563,6 +577,29 @@ class TestLaplaceClosedForm:
         res = min_feasible_support(kernel, eps, leakage - bound / 2, r)
         assert res.s_chosen == 2 * t + 3 == 2 * 10**12 + 1
         assert res == min_feasible_support(kernel, eps, leakage - 2 * bound, r)
+
+    @pytest.mark.parametrize(
+        "delta_hex, located, s, answer_hex, built",
+        [
+            # one float below the table's defect at the located radius: its table steps to the next radius, past
+            # _CONFIRM_RADIUS, and confirms it on a table too
+            ("0x1.be867a07c8cb3p-34", 0, 3, ("0x1.be7b0bd2945a4p-34", "0x1.387ddef7703f5p+13", "0x1.7d649ea7058e2p+27"),
+             [0, 1]),
+            # the closed form at the located radius: not surely within delta, so the closed forms step on
+            ("0x1.be7b0bd2945a3p-34", 1, 5, ("0x1.be6f9de84839dp-34", "0x1.387ddf0453506p+13", "0x1.7d649f1555c70p+27"),
+             []),
+        ],
+        ids=["located-at-the-table-radius", "located-one-past"],
+    )
+    def test_evaluator_is_chosen_from_the_located_radius(self, monkeypatch, delta_hex, located, s, answer_hex, built):
+        # radii are counted from _CONFIRM_RADIUS = 2**17; the answers are those of the two-path search
+        lam, eps, r, t = 1e-4, 1.0, 1, calibration._CONFIRM_RADIUS
+        delta = float.fromhex(delta_hex)
+        assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**7) == t + located
+        radii = table_radii(monkeypatch)
+        res = min_feasible_support(Kernel.laplace(lam), eps, delta, r)
+        assert res.s_chosen == 2 * t + s and [radius - t for radius in radii] == built
+        assert (res.achieved_delta_star.hex(), res.moments.r1.hex(), res.moments.r2.hex()) == answer_hex
 
     def test_located_designs_scan_no_block(self, monkeypatch):
         blocks = breakdown_ranks(monkeypatch)

@@ -32,7 +32,9 @@ from sparseldp import (
     separation_breakdown,
     separation_profile,
     sweep_param,
+    sweep_support,
     truncated_pmf,
+    truncated_spec,
     worst_case_defect,
 )
 from sparseldp.calibration import _default_scan_limit
@@ -81,6 +83,30 @@ def test_returns_or_raises_spec_error(name, family, data):
     except SpecError:
         return
     assert not re.search(r"\bnan\b", repr(result)), result
+
+
+# every public argument that takes a collection, called with the value in its place
+COLLECTIONS = {
+    "MechanismSpec inputs": lambda v: MechanismSpec(LAPLACE, v, (0, 1), PAIR.supports),
+    "MechanismSpec outputs": lambda v: MechanismSpec(LAPLACE, (0, 1), v, PAIR.supports),
+    "MechanismSpec supports": lambda v: MechanismSpec(LAPLACE, (0, 1), (0, 1), v),
+    "MechanismSpec support": lambda v: MechanismSpec(LAPLACE, (0, 1), (0, 1), {0: v, 1: (0, 1)}),
+    "MechanismSpec distance": lambda v: MechanismSpec(LAPLACE, (0, 1), (0, 1), PAIR.supports, v),
+    "MechanismSpec distance row": lambda v: MechanismSpec(LAPLACE, (0, 1), (0, 1), PAIR.supports, ((0.0, 1.0), v)),
+    "truncated_spec inputs": lambda v: truncated_spec(WINDOW, v),
+    "sweep_support s_list": lambda v: sweep_support(LAPLACE, 1.0, 2, v),
+    "sweep_param param_list": lambda v: sweep_param("laplace", v, 1.0, 2, 7),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    # a distance of None is the absolute difference, so it is valid
+    [(name, v) for name in COLLECTIONS for v in (None, 3, 2.5, "01") if (name, v) != ("MechanismSpec distance", None)],
+)
+def test_collection_argument_that_is_not_a_list_raises_spec_error(name, value):
+    with pytest.raises(SpecError):
+        COLLECTIONS[name](value)
 
 
 @pytest.mark.parametrize(
