@@ -592,7 +592,7 @@ class TestLaplaceClosedForm:
         ids=["located-at-the-table-radius", "located-one-past"],
     )
     def test_evaluator_is_chosen_from_the_located_radius(self, monkeypatch, delta_hex, located, s, answer_hex, built):
-        # radii are counted from _CONFIRM_RADIUS = 2**17; the answers are those of the two-path search
+        # radii and sizes are counted from _CONFIRM_RADIUS = 2**17 and its size
         lam, eps, r, t = 1e-4, 1.0, 1, calibration._CONFIRM_RADIUS
         delta = float.fromhex(delta_hex)
         assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**7) == t + located

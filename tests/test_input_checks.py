@@ -85,7 +85,7 @@ def test_returns_or_raises_spec_error(name, family, data):
     assert not re.search(r"\bnan\b", repr(result)), result
 
 
-# every public argument that takes a collection, called with the value in its place
+# each collection argument of a channel, a window spec or a sweep, called with the value in its place
 COLLECTIONS = {
     "MechanismSpec inputs": lambda v: MechanismSpec(LAPLACE, v, (0, 1), PAIR.supports),
     "MechanismSpec outputs": lambda v: MechanismSpec(LAPLACE, (0, 1), v, PAIR.supports),
