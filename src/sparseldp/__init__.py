@@ -10,10 +10,9 @@ from .calibration import (
     CleanBoundReport,
     DesignResult,
     SweepRow,
+    clean_bound,
     feasibility_min_support,
-    gaussian_clean_bound,
     gaussian_support_window,
-    laplace_clean_bound,
     laplace_sufficient_support,
     min_feasible_support,
     sweep_param,
@@ -43,7 +42,6 @@ from .privacy import (
     brute_force_defect,
     exhaustive_event_defect,
     ordered_defect,
-    pointwise_loss,
     pure_ldp_epsilon,
     separation_breakdown,
     separation_profile,
@@ -67,17 +65,15 @@ __all__ = [
     "TruncatedParams",
     "UnknownInputError",
     "brute_force_defect",
+    "clean_bound",
     "distortion_moments",
     "exhaustive_event_defect",
     "feasibility_min_support",
-    "gaussian_clean_bound",
     "gaussian_support_window",
-    "laplace_clean_bound",
     "laplace_sufficient_support",
     "load_spec",
     "min_feasible_support",
     "ordered_defect",
-    "pointwise_loss",
     "pure_ldp_epsilon",
     "sample",
     "sample_counts",

@@ -1,8 +1,8 @@
 """Support-size calibration for the window families.
 
 Covers the disjointness feasibility threshold, the leakage-only regime where
-the overlap excess provably vanishes (with its tail bounds and sufficient
-support sizes), the minimum-support design search, and sweep drivers that
+the overlap excess provably vanishes (`clean_bound` reports it, with its tail
+bounds and sufficient support sizes), the minimum-support design search, and sweep drivers that
 tabulate the privacy/distortion tradeoff.
 """
 
@@ -23,6 +23,7 @@ from .mechanisms import (
     _check_delta,
     _check_epsilon,
     _check_int,
+    _check_kernel,
     _check_list,
     _check_real,
     _window_moments,
@@ -32,7 +33,7 @@ from .privacy import _overlap_threshold, _WindowTable, _worst_case, separation_b
 
 @dataclass(frozen=True)
 class CleanBoundReport:
-    """Leakage-only evaluation, valid when the overlap excess provably vanishes.
+    """`clean_bound`'s leakage-only evaluation, valid when the overlap excess provably vanishes.
 
     `applicable` is the conjunction of the overlap condition (the pointwise
     loss stays below epsilon across the range) and the size condition
@@ -75,38 +76,24 @@ def feasibility_min_support(privacy_range: int) -> int:
     return _next_odd_at_least(privacy_range + 1)
 
 
-def laplace_clean_bound(epsilon: float, lam: float, s: int, privacy_range: int) -> CleanBoundReport:
-    """Leakage-only defect for the Laplace window family, when it applies.
+def clean_bound(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> CleanBoundReport:
+    """Leakage-only defect of the size-s window, when the overlap excess provably vanishes.
 
-    It applies when lam * range <= epsilon, so no overlap term up to the
-    range is positive (ties as `_clean_radius` rules), and s >= 2 * range + 1.
-    The exact defect is then the leakage at the range, bounded by
-    range * exp(-lam * (t - range + 1)).
+    It applies when no overlap term up to the range is positive (ties as
+    `_clean_radius` rules): lam * range <= epsilon for Laplace,
+    range * (2t - range) / (2 sigma^2) <= epsilon for the Gaussian; and
+    s >= 2 * range + 1.  The exact defect is then the leakage at the range,
+    bounded by range * W(t - range + 1).
     """
-    return _clean_bound(TruncatedParams(Kernel.laplace(lam), s), epsilon, privacy_range)
-
-
-def gaussian_clean_bound(epsilon: float, sigma: float, s: int, privacy_range: int) -> CleanBoundReport:
-    """Leakage-only defect for the Gaussian window family, when it applies.
-
-    It applies when range * (2t - range) / (2 sigma^2) <= epsilon, so no
-    overlap term up to the range is positive (ties as `_clean_radius` rules),
-    and s >= 2 * range + 1.  The exact defect is then the leakage at the
-    range, bounded by range * exp(-(t - range + 1)^2 / (2 sigma^2)).
-    """
-    return _clean_bound(TruncatedParams(Kernel.gaussian(sigma), s), epsilon, privacy_range)
-
-
-def _clean_bound(params: TruncatedParams, epsilon: float, privacy_range: int):
-    """Either family's report, with the engine's overlap test; the bound is range times W(t - range + 1)."""
+    params = TruncatedParams(kernel, s)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     epsilon = _check_epsilon(epsilon)
-    condition_overlap = params.t <= _clean_radius(params.kernel, epsilon, min(privacy_range, params.t))
+    condition_overlap = params.t <= _clean_radius(kernel, epsilon, min(privacy_range, params.t))
     condition_size = params.s >= 2 * privacy_range + 1
     if not (condition_overlap and condition_size):
         return CleanBoundReport(False, condition_overlap, condition_size)
-    exact = separation_breakdown(params.kernel, epsilon, params.t, privacy_range).support_leakage
-    bound = privacy_range * math.exp(params.kernel.log_weight(params.t - privacy_range + 1))
+    exact = separation_breakdown(kernel, epsilon, params.t, privacy_range).support_leakage
+    bound = privacy_range * math.exp(kernel.log_weight(params.t - privacy_range + 1))
     return CleanBoundReport(True, condition_overlap, condition_size, exact, bound)
 
 
@@ -239,6 +226,7 @@ def min_feasible_support(
     the closed form, the answer may be the next odd size after the smallest
     whose exact defect is within delta.
     """
+    kernel = _check_kernel(kernel)
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 0)

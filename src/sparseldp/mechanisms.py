@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -105,6 +106,13 @@ def _check_delta(delta) -> float:
     return _check_real("target delta", delta, "lie in (0, 1]", lambda v: 0 < v <= 1)
 
 
+def _check_kernel(kernel) -> Kernel:
+    """`kernel` itself if it is a `Kernel`, which checked its family and parameter when it was built."""
+    if not isinstance(kernel, Kernel):
+        raise SpecError(f"kernel must be a Kernel, got {kernel!r}")
+    return kernel
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismSpec:
     """A sparse channel: kernel, finite alphabets, and per-input supports.
@@ -114,7 +122,7 @@ class MechanismSpec:
     wherever an input also appears as an output.  Validation checks every symbol
     and shape, for `spec_from_dict` too, and raises SpecError on any violation.
     It also keeps each input's output columns and log kernel weights over S(x),
-    in support order, once; `normalizer`, every pmf, sampling and the pure level read them.
+    in support order, once; every pmf, sampling and the pure level read them.
     Instances are immutable after validation and safe to share across threads.
     """
 
@@ -125,6 +133,7 @@ class MechanismSpec:
     distance: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
+        _check_kernel(self.kernel)
         for field in ("inputs", "outputs"):
             symbols = _check_list(field, getattr(self, field))
             if not symbols:
@@ -189,24 +198,6 @@ class MechanismSpec:
         except KeyError:
             raise UnknownInputError(f"input {x} is not declared by this channel") from None
 
-    def dist(self, x: int, y: int) -> float:
-        """Distance from declared input x to declared output y."""
-        self.support(x)
-        j = self._index.get(_check_int("output symbol", y))
-        if j is None:
-            raise SpecError(f"output {y} is not declared by this channel")
-        if self.distance is not None:
-            return self.distance[self.inputs.index(x)][j]
-        try:
-            return float(abs(x - y))
-        except OverflowError:
-            raise SpecError(f"distance from {x} to {y} is too large for a float") from None
-
-    def normalizer(self, x: int) -> float:
-        """Sum of kernel weights over S(x); at least 1 when x is in its own support."""
-        self.support(x)
-        return float(np.exp(self._rows[int(x)][1]).sum())
-
     def pmf(self, x: int) -> dict[int, float]:
         """Output distribution for input x; keys are exactly S(x), masses those of `_row`."""
         support, masses = _row(self, x)
@@ -230,6 +221,7 @@ class TruncatedParams:
     s: int
 
     def __post_init__(self):
+        _check_kernel(self.kernel)
         s = _check_int("support size", self.s, 1)
         if s % 2 == 0:
             raise SpecError(f"support size must be odd so the window radius is an integer, got {s}")
@@ -253,7 +245,7 @@ def window_weights(kernel: Kernel, radius: int) -> np.ndarray:
     """Kernel weights at offsets -radius..radius, ascending."""
     radius = _check_int("radius", radius, 0)
     k = np.abs(np.arange(-radius, radius + 1)).astype(float)
-    return np.exp(kernel.log_weight(k))
+    return np.exp(_check_kernel(kernel).log_weight(k))
 
 
 def truncated_pmf(params: TruncatedParams, x: int) -> dict[int, float]:
@@ -275,8 +267,10 @@ def _row(mechanism: Union[MechanismSpec, TruncatedParams], x: int) -> tuple[Sequ
     if isinstance(mechanism, TruncatedParams):
         x, t = _check_int("input", x), mechanism.t
         support, lw = range(x - t, x + t + 1), mechanism.kernel.log_weight(np.abs(np.arange(-t, t + 1, dtype=float)))
-    else:
+    elif isinstance(mechanism, MechanismSpec):
         support, lw = mechanism.support(x), mechanism._rows[int(x)][1]
+    else:
+        raise SpecError(f"mechanism must be a MechanismSpec or TruncatedParams, got {mechanism!r}")
     w = lw - lw.max()
     np.exp(w, out=w)  # in place, as a window's row can hold millions of masses
     return support, np.divide(w, w.sum(), out=w)
@@ -422,7 +416,9 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
 
 
 def load_spec(path) -> MechanismSpec:
-    """Read and validate a MechanismSpec JSON file."""
+    """Read and validate a MechanismSpec JSON file; a path that is not a str, bytes or os.PathLike is a SpecError."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise SpecError(f"spec path must be a str, bytes or os.PathLike, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -23,6 +23,7 @@ from .mechanisms import (
     TruncatedParams,
     _check_epsilon,
     _check_int,
+    _check_kernel,
 )
 
 
@@ -57,16 +58,6 @@ def _log_normalizer(row: np.ndarray) -> float:
     """log sum exp(row), shifted by the row's max so it is finite however small the weights."""
     m = float(row.max())
     return m + math.log(float(np.exp(row - m).sum()))
-
-
-def pointwise_loss(spec: MechanismSpec, x: int, x_prime: int, y: int) -> float:
-    """Log-likelihood ratio log Q(y|x) / Q(y|x_prime) on the support overlap."""
-    sup, sup_prime = spec.support(x), spec.support(x_prime)
-    if _check_int("output symbol", y) not in sup or y not in sup_prime:
-        raise SpecError(f"output {y} is outside the support overlap of inputs {x} and {x_prime}")
-    lw, lw_prime = spec._rows[x][1], spec._rows[x_prime][1]
-    gap = float(lw[sup.index(y)] - lw_prime[sup_prime.index(y)])
-    return gap + _log_normalizer(lw_prime) - _log_normalizer(lw)
 
 
 def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
@@ -318,7 +309,7 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     epsilon = _check_epsilon(epsilon)
     t = _check_int("radius", radius, 0)
     h = _check_int("separation", separation, 0)
-    leakage, excess, _ = _WindowTable(kernel, t).breakdown(t, h, epsilon)
+    leakage, excess, _ = _WindowTable(_check_kernel(kernel), t).breakdown(t, h, epsilon)
     return DefectBreakdown(float(leakage), float(excess))
 
 

@@ -47,16 +47,40 @@ def random_common_support_spec(rng, max_outputs=10):
     return MechanismSpec(random_kernel(rng), tuple(inputs), tuple(outputs), supports)
 
 
+def distance(spec, x, y):
+    """Distance from input x to output y, read from the spec's fields: |x - y| or the matrix entry."""
+    if spec.distance is None:
+        return float(abs(x - y))
+    return spec.distance[spec.inputs.index(x)][spec.outputs.index(y)]
+
+
+def log_weights(spec, x):
+    """Input x's log kernel weights over S(x), one scalar `Kernel.log_weight(distance(...))` call each."""
+    return np.array([spec.kernel.log_weight(distance(spec, x, y)) for y in spec.support(x)])
+
+
+def log_normalizer(spec, x):
+    """log of the sum of input x's kernel weights, shifted by its largest log-weight so it cannot underflow."""
+    lw = log_weights(spec, x)
+    return float(lw.max()) + math.log(float(np.exp(lw - lw.max()).sum()))
+
+
+def log_ratio(spec, x, x_prime, y):
+    """The pointwise loss log Q(y|x) / Q(y|x') at an output y of both supports, in `pure_ldp_epsilon`'s float steps."""
+    gap = log_weights(spec, x)[spec.support(x).index(y)] - log_weights(spec, x_prime)[spec.support(x_prime).index(y)]
+    return float(gap) + log_normalizer(spec, x_prime) - log_normalizer(spec, x)
+
+
 def direct_pure_level(spec):
     """(finite, level, witness) by the scalar loop over ordered triples (x, x', y).
 
-    Every log-weight is one scalar `Kernel.log_weight(spec.dist(x, y))`
+    Every log-weight is one scalar `Kernel.log_weight(distance(spec, x, y))`
     call, each log normalizer is shifted by its input's largest log-weight,
     and the first strict maximum in the order x, x', y wins.  The library's
     `pure_ldp_epsilon` must give the same floats from its per-input rows.
     """
     def log_w(x, y):
-        return spec.kernel.log_weight(spec.dist(x, y))
+        return spec.kernel.log_weight(distance(spec, x, y))
 
     for x in spec.inputs:
         sup_x = spec.support(x)
@@ -67,10 +91,7 @@ def direct_pure_level(spec):
             for y in sup_x:
                 if y not in sup_xp:
                     return False, None, (x, x_prime, y)
-    log_z = {}
-    for x in spec.inputs:
-        lw = np.array([log_w(x, y) for y in spec.support(x)])
-        log_z[x] = float(lw.max()) + math.log(float(np.exp(lw - lw.max()).sum()))
+    log_z = {x: log_normalizer(spec, x) for x in spec.inputs}
     best, witness = 0.0, None
     for x in spec.inputs:
         for x_prime in spec.inputs:

@@ -14,11 +14,10 @@ from sparseldp import (
     Kernel,
     TruncatedParams,
     brute_force_defect,
+    clean_bound,
     distortion_moments,
     exhaustive_event_defect,
-    gaussian_clean_bound,
     gaussian_support_window,
-    laplace_clean_bound,
     laplace_sufficient_support,
     min_feasible_support,
     ordered_defect,
@@ -207,7 +206,7 @@ def test_criterion_7_clean_bound_property():
             epsilon = lam * H + 0.125
             for s in (2 * H + 1, 2 * H + 5, 2 * H + 11):
                 kernel = Kernel.laplace(lam)
-                rep = laplace_clean_bound(epsilon, lam, s, H)
+                rep = clean_bound(kernel, s, epsilon, H)
                 assert rep.applicable
                 t = (s - 1) // 2
                 for h in range(H + 1):
@@ -224,7 +223,7 @@ def test_criterion_7_clean_bound_property():
                 t = (s - 1) // 2
                 epsilon = H * (2 * t - H) / (2.0 * sigma * sigma) + 0.125
                 kernel = Kernel.gaussian(sigma)
-                rep = gaussian_clean_bound(epsilon, sigma, s, H)
+                rep = clean_bound(kernel, s, epsilon, H)
                 assert rep.applicable
                 for h in range(H + 1):
                     overlap_zero &= separation_breakdown(kernel, epsilon, t, h).overlap_excess == 0.0

@@ -13,11 +13,10 @@ from sparseldp import (
     Kernel,
     SpecError,
     TruncatedParams,
+    clean_bound,
     distortion_moments,
     feasibility_min_support,
-    gaussian_clean_bound,
     gaussian_support_window,
-    laplace_clean_bound,
     laplace_sufficient_support,
     min_feasible_support,
     ordered_defect,
@@ -55,7 +54,7 @@ class TestFeasibilityMinSupport:
 class TestLaplaceCleanBound:
     def test_worked_example(self):
         # lam=0.25, s=9 (t=4), H=2: conditions hold; leakage is the top-two tail
-        rep = laplace_clean_bound(1.0, 0.25, 9, 2)
+        rep = clean_bound(Kernel.laplace(0.25), 9, 1.0, 2)
         assert rep.applicable and rep.condition_overlap and rep.condition_size
         c4 = 1.0 + 2.0 * sum(math.exp(-0.25 * j) for j in range(1, 5))
         expected = (math.exp(-0.75) + math.exp(-1.0)) / c4
@@ -65,16 +64,16 @@ class TestLaplaceCleanBound:
         assert rep.exact_leakage_delta == pytest.approx(exact, abs=1e-12)
 
     def test_overlap_condition_gate(self):
-        rep = laplace_clean_bound(1.0, 0.6, 9, 2)  # lam * H = 1.2 > 1
+        rep = clean_bound(Kernel.laplace(0.6), 9, 1.0, 2)  # lam * H = 1.2 > 1
         assert not rep.applicable and not rep.condition_overlap and rep.condition_size
         assert rep.exact_leakage_delta is None and rep.upper_bound is None
 
     def test_size_condition_gate(self):
-        rep = laplace_clean_bound(2.0, 0.5, 3, 2)  # s=3 < 2H+1=5
+        rep = clean_bound(Kernel.laplace(0.5), 3, 2.0, 2)  # s=3 < 2H+1=5
         assert not rep.applicable and rep.condition_overlap and not rep.condition_size
 
     def test_zero_range(self):
-        rep = laplace_clean_bound(1.0, 0.5, 7, 0)
+        rep = clean_bound(Kernel.laplace(0.5), 7, 1.0, 0)
         assert rep.applicable
         assert rep.exact_leakage_delta == 0.0
         assert rep.upper_bound == 0.0
@@ -83,7 +82,7 @@ class TestLaplaceCleanBound:
 class TestGaussianCleanBound:
     def test_worked_example(self):
         # sigma=1, eps=4, s=7 (t=3), H=2: threshold H(2t-H)/(2 sigma^2) = 4 holds with equality
-        rep = gaussian_clean_bound(4.0, 1.0, 7, 2)
+        rep = clean_bound(Kernel.gaussian(1.0), 7, 4.0, 2)
         assert rep.applicable
         gamma3 = 1.0 + 2.0 * sum(math.exp(-j * j / 2.0) for j in range(1, 4))
         expected = (math.exp(-2.0) + math.exp(-4.5)) / gamma3
@@ -93,11 +92,11 @@ class TestGaussianCleanBound:
         assert rep.exact_leakage_delta == pytest.approx(exact, abs=1e-12)
 
     def test_below_threshold(self):
-        rep = gaussian_clean_bound(3.9, 1.0, 7, 2)
+        rep = clean_bound(Kernel.gaussian(1.0), 7, 3.9, 2)
         assert not rep.applicable and not rep.condition_overlap
 
     def test_zero_range(self):
-        rep = gaussian_clean_bound(1.0, 2.0, 7, 0)
+        rep = clean_bound(Kernel.gaussian(2.0), 7, 1.0, 0)
         assert rep.applicable
         assert rep.exact_leakage_delta == 0.0
         assert rep.upper_bound == 0.0
@@ -124,9 +123,9 @@ class TestCleanBoundSoundness:
             for H in (1, 2, 3):
                 eps = lam * H + 0.1
                 for s in (2 * H + 1, 2 * H + 3, 2 * H + 9):
-                    rep = laplace_clean_bound(eps, lam, s, H)
-                    assert rep.applicable
                     kernel = Kernel.laplace(lam)
+                    rep = clean_bound(kernel, s, eps, H)
+                    assert rep.applicable
                     t = (s - 1) // 2
                     for h in range(H + 1):
                         assert separation_breakdown(kernel, eps, t, h).overlap_excess == 0.0
@@ -143,9 +142,9 @@ class TestCleanBoundSoundness:
                 for s in (2 * H + 1, 2 * H + 3, 2 * H + 9):
                     t = (s - 1) // 2
                     eps = H * (2 * t - H) / (2.0 * sigma * sigma) + 0.1
-                    rep = gaussian_clean_bound(eps, sigma, s, H)
-                    assert rep.applicable
                     kernel = Kernel.gaussian(sigma)
+                    rep = clean_bound(kernel, s, eps, H)
+                    assert rep.applicable
                     for h in range(H + 1):
                         assert separation_breakdown(kernel, eps, t, h).overlap_excess == 0.0
                     exact, _ = worst_case_defect(kernel, s, eps, H)
@@ -158,7 +157,7 @@ class TestCleanBoundSoundness:
         for H in (1, 2, 3):
             for eps in around(lam * H):
                 for s in (2 * H - 1, 2 * H + 1, 2 * H + 9):
-                    rep = laplace_clean_bound(eps, lam, s, H)
+                    rep = clean_bound(kernel, s, eps, H)
                     t = (s - 1) // 2
                     assert rep.condition_overlap == no_positive_term(kernel, eps, t, H)
                     assert rep.applicable == (rep.condition_size and rep.condition_overlap)
@@ -174,7 +173,7 @@ class TestCleanBoundSoundness:
                 t = (s - 1) // 2
                 for eps in around(H * (2 * t - H) / (2.0 * sigma * sigma)):
                     eps = max(eps, 0.0)  # the boundary is at or below 0 when the size condition fails
-                    rep = gaussian_clean_bound(eps, sigma, s, H)
+                    rep = clean_bound(kernel, s, eps, H)
                     assert rep.condition_overlap == no_positive_term(kernel, eps, t, H)
                     assert rep.applicable == (rep.condition_size and rep.condition_overlap)
                     if rep.applicable:
@@ -182,15 +181,15 @@ class TestCleanBoundSoundness:
                         assert rep.upper_bound >= rep.exact_leakage_delta
 
     @pytest.mark.parametrize(
-        "bound, kernel, eps, clean",
+        "kernel, eps, clean",
         [
-            (gaussian_clean_bound, Kernel.gaussian(1.0), 0.1, False),  # K(1) = 1 on the radius-1 table
-            (laplace_clean_bound, Kernel.laplace(1.0), 1.5, True),  # lam * 3 > eps, but lam * 1 is not
+            (Kernel.gaussian(1.0), 0.1, False),  # K(1) = 1 on the radius-1 table
+            (Kernel.laplace(1.0), 1.5, True),  # lam * 3 > eps, but lam * 1 is not
         ],
     )
-    def test_overlap_flag_when_the_range_exceeds_the_radius(self, bound, kernel, eps, clean):
+    def test_overlap_flag_when_the_range_exceeds_the_radius(self, kernel, eps, clean):
         # s = 3 and range 3: separations up to the radius 1 decide the flag, not the range
-        rep = bound(eps, kernel.param, 3, 3)
+        rep = clean_bound(kernel, 3, eps, 3)
         assert rep.condition_overlap == no_positive_term(kernel, eps, 1, 3) == clean
         assert not rep.applicable
 
@@ -273,10 +272,10 @@ class TestGaussianSupportWindow:
 @pytest.mark.parametrize(
     "call, param",
     [
-        (lambda p: laplace_clean_bound(0.3, p, 9, 3), np.float32(0.1)),
-        (lambda p: laplace_clean_bound(2.0999999999999996, p, 17, 3), Fraction(7, 10)),
-        (lambda p: gaussian_clean_bound(0.8875740296090829, p, 5, 1), np.float32(1.3)),
-        (lambda p: gaussian_clean_bound(1.0, p, 7, 2), Fraction(3, 2)),
+        (lambda p: clean_bound(Kernel.laplace(p), 9, 0.3, 3), np.float32(0.1)),
+        (lambda p: clean_bound(Kernel.laplace(p), 17, 2.0999999999999996, 3), Fraction(7, 10)),
+        (lambda p: clean_bound(Kernel.gaussian(p), 5, 0.8875740296090829, 1), np.float32(1.3)),
+        (lambda p: clean_bound(Kernel.gaussian(p), 7, 1.0, 2), Fraction(3, 2)),
         (lambda p: laplace_sufficient_support(0.45000001788139343, 0.5488116229270158, p, 1), np.float32(0.3)),
         (lambda p: laplace_sufficient_support(0.7, 3.2213164481909267e-12, p, 1), Fraction(7, 10)),
         (lambda p: gaussian_support_window(24.69135933288663, 0.00036781568740308813, p, 4), np.float32(0.9)),

@@ -20,11 +20,11 @@ from sparseldp import (
     SpecError,
     TruncatedParams,
     brute_force_defect,
+    clean_bound,
     exhaustive_event_defect,
-    gaussian_clean_bound,
     gaussian_support_window,
-    laplace_clean_bound,
     laplace_sufficient_support,
+    load_spec,
     min_feasible_support,
     ordered_defect,
     sample,
@@ -35,6 +35,7 @@ from sparseldp import (
     sweep_support,
     truncated_pmf,
     truncated_spec,
+    window_weights,
     worst_case_defect,
 )
 from sparseldp.calibration import _default_scan_limit
@@ -56,8 +57,7 @@ CALLS = {
     "min_feasible_support": lambda family, a, b, c: min_feasible_support(Kernel(family, 1.0), a, b, c),
     "min_feasible_support s_max": lambda family, a: min_feasible_support(Kernel(family, 1.0), 1.0, 0.1, 2, a),
     "sweep_param": lambda family, a, b, c: sweep_param(family, [a], b, 2, c),
-    "laplace_clean_bound": lambda family, a, b, c, d: laplace_clean_bound(a, b, c, d),
-    "gaussian_clean_bound": lambda family, a, b, c, d: gaussian_clean_bound(a, b, c, d),
+    "clean_bound": lambda family, a, b, c, d: clean_bound(Kernel(family, a), b, c, d),
     "laplace_sufficient_support": lambda family, a, b, c, d: laplace_sufficient_support(a, b, c, d),
     "gaussian_support_window": lambda family, a, b, c, d: gaussian_support_window(a, b, c, d),
     "distance matrix": lambda family, a, b, c: MechanismSpec(
@@ -107,6 +107,51 @@ COLLECTIONS = {
 def test_collection_argument_that_is_not_a_list_raises_spec_error(name, value):
     with pytest.raises(SpecError):
         COLLECTIONS[name](value)
+
+
+# each kernel-taking call, with the value in place of its kernel
+KERNELS = {
+    "worst_case_defect": lambda v: worst_case_defect(v, 7, 1.0, 2),
+    "separation_breakdown": lambda v: separation_breakdown(v, 1.0, 3, 2),
+    "separation_profile": lambda v: separation_profile(v, 7, 1.0, 2),
+    "min_feasible_support": lambda v: min_feasible_support(v, 1.0, 0.1, 2),
+    "sweep_support": lambda v: sweep_support(v, 1.0, 2, [7]),
+    "clean_bound": lambda v: clean_bound(v, 7, 1.0, 2),
+    "window_weights": lambda v: window_weights(v, 3),
+    "TruncatedParams": lambda v: TruncatedParams(v, 5),
+    "MechanismSpec": lambda v: MechanismSpec(v, (0, 1), (0, 1), PAIR.supports),
+}
+# each call that takes a window or a channel, with the value in its place
+MECHANISMS = {
+    "sample": lambda v: sample(v, 0, 1, 3),
+    "sample_counts": lambda v: sample_counts(v, 0, 1, 3),
+    "truncated_pmf": lambda v: truncated_pmf(v, 0),
+}
+NOT_OBJECTS = (None, "laplace", 0.5, ("laplace", 0.5))
+
+
+@pytest.mark.parametrize("name, value", [(name, v) for name in KERNELS for v in NOT_OBJECTS])
+def test_kernel_argument_that_is_not_a_kernel_raises_spec_error(name, value):
+    with pytest.raises(SpecError, match="kernel must be a Kernel"):
+        KERNELS[name](value)
+
+
+@pytest.mark.parametrize("name, value", [(name, v) for name in MECHANISMS for v in NOT_OBJECTS + (LAPLACE,)])
+def test_mechanism_that_is_neither_a_spec_nor_a_window_raises_spec_error(name, value):
+    with pytest.raises(SpecError, match="MechanismSpec or TruncatedParams"):
+        MECHANISMS[name](value)
+
+
+# a str path names a file, so a missing one is an OSError, which the CLI reports with exit 2
+@pytest.mark.parametrize("path", [None, 0.5, ("spec.json",), LAPLACE], ids=["None", "float", "tuple", "kernel"])
+def test_spec_path_that_is_not_a_path_raises_spec_error(path):
+    with pytest.raises(SpecError, match="spec path"):
+        load_spec(path)
+
+
+def test_missing_spec_file_is_an_os_error(tmp_path):
+    with pytest.raises(OSError):
+        load_spec(tmp_path / "absent.json")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import ast
 import inspect
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,13 +16,12 @@ from sparseldp import (
     SpecError,
     TruncatedParams,
     UnknownInputError,
+    clean_bound,
     distortion_moments,
     feasibility_min_support,
-    laplace_clean_bound,
     load_spec,
     min_feasible_support,
     ordered_defect,
-    pointwise_loss,
     sample,
     sample_counts,
     spec_from_dict,
@@ -33,7 +34,7 @@ from sparseldp import (
 import sparseldp
 from sparseldp import mechanisms
 from sparseldp.mechanisms import _SAMPLE_CHUNK
-from conftest import one_shot_sample, random_spec
+from conftest import log_weights, one_shot_sample, random_spec
 
 
 def laplace_window(lam, t, inputs=(0,)):
@@ -85,40 +86,12 @@ class TestKernelValidation:
             lambda: worst_case_defect(kernel, 3, 1.0, -1),
             lambda: min_feasible_support(kernel, 1.0, 0.5, -1),
             lambda: sweep_support(kernel, 1.0, -1, [3]),
-            lambda: laplace_clean_bound(1.0, 1.0, 3, -1),
+            lambda: clean_bound(kernel, 3, 1.0, -1),
             lambda: feasibility_min_support(-1),
         ]
         for call in calls:
             with pytest.raises(SpecError, match="privacy range"):
                 call()
-
-
-class TestNormalizer:
-    def test_laplace_three_term(self):
-        spec = laplace_window(0.5, 1)
-        assert spec.normalizer(0) == pytest.approx(1.0 + 2.0 * math.exp(-0.5), abs=1e-15)
-
-    def test_gaussian_three_term(self):
-        spec = truncated_spec(TruncatedParams(Kernel.gaussian(2.0), 3), [0])
-        assert spec.normalizer(0) == pytest.approx(1.0 + 2.0 * math.exp(-1.0 / 8.0), abs=1e-15)
-
-    def test_singleton_support(self):
-        k = Kernel.laplace(1.0)
-        spec = MechanismSpec(k, (4,), (4,), {4: (4,)})
-        assert spec.normalizer(4) == 1.0
-
-    def test_unknown_input(self):
-        spec = laplace_window(0.5, 1)
-        with pytest.raises(UnknownInputError):
-            spec.normalizer(99)
-
-    def test_at_least_one_when_self_supported(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            spec = random_spec(rng)
-            for x in spec.inputs:
-                if x in spec.support(x):
-                    assert spec.normalizer(x) >= 1.0
 
 
 class TestPmf:
@@ -360,17 +333,11 @@ class TestSymbolLookup:
             lambda spec, x: spec.support(x),
             lambda spec, x: spec.pmf(x),
             lambda spec, x: spec.pmf_vector(x),
-            lambda spec, x: spec.normalizer(x),
             lambda spec, x: sample(spec, x, 0, 3),
             lambda spec, x: ordered_defect(spec, x, 0, 1.0),
-            lambda spec, x: pointwise_loss(spec, x, 0, 1),
-            lambda spec, x: pointwise_loss(spec, 0, 1, x),
-            lambda spec, x: spec.dist(x, 0),
-            lambda spec, x: spec.dist(0, x),
             lambda spec, x: truncated_spec(TruncatedParams(spec.kernel, 3), [5, x]),
         ],
-        ids=["support", "pmf", "pmf_vector", "normalizer", "sample", "ordered_defect", "pointwise_loss x",
-             "pointwise_loss y", "dist x", "dist y", "truncated_spec inputs"],
+        ids=["support", "pmf", "pmf_vector", "sample", "ordered_defect", "truncated_spec inputs"],
     )
     def test_symbols_that_are_not_integers_rejected(self, call, x):
         # True and 1.0 hash like input 1, so a plain dict lookup would accept them
@@ -380,7 +347,7 @@ class TestSymbolLookup:
     def test_numpy_integers_accepted(self):
         assert ABS_SPEC.pmf(np.int64(1)) == ABS_SPEC.pmf(1)
         assert np.array_equal(sample(ABS_SPEC, np.uint8(1), 0, 20), sample(ABS_SPEC, 1, 0, 20))
-        assert ABS_SPEC.dist(np.int32(0), np.int64(2)) == MATRIX_SPEC.dist(np.int32(0), np.int64(2)) == 2.0
+        assert MATRIX_SPEC.support(np.int32(1)) == (1, 2) and MATRIX_SPEC.pmf(np.int64(1)) == MATRIX_SPEC.pmf(1)
 
     @pytest.mark.parametrize(
         "inputs, expected",
@@ -393,16 +360,6 @@ class TestSymbolLookup:
         spec = truncated_spec(params, inputs)
         assert spec.inputs == expected and all(type(x) is int for x in spec.inputs)
         assert all(spec.pmf(x) == truncated_pmf(params, x) for x in expected)
-
-    @pytest.mark.parametrize("spec", [ABS_SPEC, MATRIX_SPEC], ids=["abs", "matrix"])
-    def test_dist_rejects_undeclared_input(self, spec):
-        with pytest.raises(UnknownInputError, match="input 999"):
-            spec.dist(999, 0)
-
-    @pytest.mark.parametrize("spec", [ABS_SPEC, MATRIX_SPEC], ids=["abs", "matrix"])
-    def test_dist_rejects_undeclared_output(self, spec):
-        with pytest.raises(SpecError, match="output 999"):
-            spec.dist(0, 999)
 
 
 class TestSpecValidation:
@@ -505,7 +462,7 @@ class TestSpecJson:
         doc = dict(self.DOC)
         doc["distance"] = {"type": "matrix", "values": [[0.0, 1.0], [1.5, 0.0]]}
         spec = spec_from_dict(doc)
-        assert spec.dist(1, 0) == 1.5
+        assert spec.distance == ((0.0, 1.0), (1.5, 0.0))
 
     def test_load_round_trip(self, tmp_path):
         import json
@@ -558,7 +515,7 @@ def test_window_weights_sum_to_the_spec_normalizer():
     for kernel in (Kernel.laplace(0.4), Kernel.gaussian(1.7)):
         for t in (0, 1, 4):
             spec = truncated_spec(TruncatedParams(kernel, 2 * t + 1), [0])
-            assert float(window_weights(kernel, t).sum()) == spec.normalizer(0)
+            assert float(window_weights(kernel, t).sum()) == float(np.exp(log_weights(spec, 0)).sum())
 
 
 def test_public_names_are_unique_and_bound_by_the_star_import():
@@ -568,6 +525,20 @@ def test_public_names_are_unique_and_bound_by_the_star_import():
     exec("from sparseldp import *", star)  # raises if an entry does not resolve
     del star["__builtins__"]
     assert sorted(star) == sorted(names)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# what a user reads or runs: the README, the CLI, the demos and the benchmark
+READERS = [ROOT / "README.md", ROOT / "src" / "sparseldp" / "cli.py"] + [
+    path for top in ("demos", "bench") for path in sorted((ROOT / top).rglob("*")) if path.suffix in (".py", ".md")
+]
+
+
+def test_every_public_function_is_read_outside_the_tests():
+    # classes and constants are exempt: calls return them
+    text = "\n".join(path.read_text(encoding="utf-8") for path in READERS)
+    functions = [n for n in sparseldp.__all__ if inspect.isfunction(getattr(sparseldp, n))]
+    assert [n for n in functions if not re.search(rf"\b{n}\b", text)] == []
 
 
 PUBLIC_CODE = [n for n in sparseldp.__all__ if inspect.isclass(getattr(sparseldp, n))

@@ -14,7 +14,6 @@ from sparseldp import (
     brute_force_defect,
     exhaustive_event_defect,
     ordered_defect,
-    pointwise_loss,
     pure_ldp_epsilon,
     sample,
     sample_counts,
@@ -24,46 +23,13 @@ from sparseldp import (
     window_weights,
     worst_case_defect,
 )
-from conftest import plain_gap, random_common_support_spec, random_spec
+from conftest import log_normalizer, log_ratio, plain_gap, random_common_support_spec, random_spec
 from sparseldp.privacy import _WindowTable
 
 
 def window_pair(kernel, t, h):
     """Materialized two-input window spec at separation h."""
     return truncated_spec(TruncatedParams(kernel, 2 * t + 1), [0, h])
-
-
-class TestPointwiseLoss:
-    def test_identical_inputs(self):
-        spec = window_pair(Kernel.laplace(0.5), 2, 2)
-        assert pointwise_loss(spec, 0, 0, 1) == 0.0
-
-    def test_laplace_normalizers_cancel(self):
-        # inputs 0 and 2 share the window normalizer, so only the distance gap remains
-        spec = window_pair(Kernel.laplace(0.5), 2, 2)
-        assert pointwise_loss(spec, 0, 2, 2) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_gaussian_quadratic_gap(self):
-        spec = window_pair(Kernel.gaussian(1.0), 2, 2)
-        assert pointwise_loss(spec, 0, 2, 0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_equals_log_pmf_ratio(self):
-        rng = np.random.default_rng(3)
-        checked = 0
-        while checked < 40:
-            spec = random_spec(rng)
-            for x in spec.inputs:
-                for xp in spec.inputs:
-                    overlap = [y for y in spec.support(x) if y in spec.support(xp)]
-                    for y in overlap[:2]:
-                        expected = math.log(spec.pmf(x)[y] / spec.pmf(xp)[y])
-                        assert pointwise_loss(spec, x, xp, y) == pytest.approx(expected, abs=1e-12)
-                        checked += 1
-
-    def test_outside_overlap_rejected(self):
-        spec = window_pair(Kernel.laplace(0.5), 1, 2)
-        with pytest.raises(SpecError, match="overlap"):
-            pointwise_loss(spec, 0, 2, -1)
 
 
 class TestPureLdp:
@@ -96,7 +62,7 @@ class TestPureLdp:
             assert res.epsilon_star >= 0.0
             if res.witness is not None:
                 x, xp, y = res.witness
-                assert pointwise_loss(spec, x, xp, y) == pytest.approx(res.epsilon_star, abs=1e-12)
+                assert log_ratio(spec, x, xp, y) == pytest.approx(res.epsilon_star, abs=1e-12)
 
     def test_matches_pmf_ratio_enumeration(self):
         rng = np.random.default_rng(6)
@@ -123,7 +89,7 @@ class TestPureLdpBound:
             res = pure_ldp_epsilon(spec)
             diameter = max(abs(a - b) for a in spec.inputs for b in spec.inputs)
             max_log_ratio = max(
-                math.log(spec.normalizer(xp) / spec.normalizer(x))
+                log_normalizer(spec, xp) - log_normalizer(spec, x)
                 for x in spec.inputs
                 for xp in spec.inputs
             )

@@ -20,9 +20,8 @@ from conftest import direct_breakdown, direct_design, direct_worst_case, error_c
 from sparseldp import (
     Kernel,
     TruncatedParams,
+    clean_bound,
     distortion_moments,
-    gaussian_clean_bound,
-    laplace_clean_bound,
     mechanisms,
     min_feasible_support,
     separation_breakdown,
@@ -150,12 +149,11 @@ class TestAgainstDirectFormula:
         # to either side of it: a tie, so the report applies and the engine counts no positive term
         t = privacy_range + extra
         if kernel.family == "laplace":
-            boundary, clean_bound = kernel.param * privacy_range, laplace_clean_bound
+            boundary = kernel.param * privacy_range
         else:
             boundary = privacy_range * (2 * t - privacy_range) / (2.0 * kernel.param * kernel.param)
-            clean_bound = gaussian_clean_bound
         eps = math.nextafter(boundary, side * math.inf) if side else boundary
-        rep = clean_bound(eps, kernel.param, 2 * t + 1, privacy_range)
+        rep = clean_bound(kernel, 2 * t + 1, eps, privacy_range)
         _, excess, k = _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), eps)
         assert rep.applicable == rep.condition_size == (not k.any())
         assert rep.applicable and not excess.any()
