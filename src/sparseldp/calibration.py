@@ -2,8 +2,8 @@
 
 Covers the disjointness feasibility threshold, the leakage-only regime where
 the overlap excess provably vanishes (`clean_bound` reports it, with its tail
-bounds and sufficient support sizes), the minimum-support design search, and sweep drivers that
-tabulate the privacy/distortion tradeoff.
+bounds and sufficient support sizes), the minimum-support design search, and
+sweep drivers that tabulate the privacy/distortion tradeoff.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Every public numeric argument either works or raises SpecError.
 
 Malformed values (bools, NaN, infinities, integers past float range, strings,
-None) must be rejected with SpecError, never with another exception; numpy
+None) must be rejected with SpecError, never with another exception, and so
+must a kernel, window, channel or spec path of another type; numpy
 scalars and ordinary numbers, extreme ones included, must give a result
 without NaN or a SpecError for being out of range.
 """
