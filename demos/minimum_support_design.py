@@ -4,17 +4,17 @@ Usage: python demos/minimum_support_design.py
 
 Distortion grows with the support size, so among all sizes meeting the
 privacy target the smallest one is distortion-optimal.  The search scans
-odd sizes with the exact defect; the closed-form sufficient size (Laplace)
-and support window (Gaussian) give fast conservative starting points, and
-the clean-regime report shows why the Laplace size is conservative.
+odd sizes with the exact defect; `sufficient_support`, the sizes the tail
+bound certifies (from a least size up, for either family), gives fast
+conservative starting points, and the clean-regime report shows why the
+Laplace size is conservative.
 """
 
 from sparseldp import (
     Kernel,
     clean_bound,
-    gaussian_support_window,
-    laplace_sufficient_support,
     min_feasible_support,
+    sufficient_support,
 )
 
 print("Laplace lam=0.5, eps=1, range=3: minimum support per target")
@@ -34,7 +34,7 @@ print("its large-s plateau (about 0.245 here) are unreachable at any size.")
 
 # conservative closed form vs exact scan, in the regime where only leakage matters
 lam, eps, rng_h, delta = 1.0 / 3.0, 1.0, 3, 0.05
-s_formula = laplace_sufficient_support(eps, delta, lam, rng_h)
+s_formula, _ = sufficient_support(Kernel.laplace(lam), eps, delta, rng_h)
 s_exact = min_feasible_support(Kernel.laplace(lam), eps, delta, rng_h).s_chosen
 print(f"\nlam=eps/range, delta={delta}: sufficient-size formula gives s={s_formula},")
 print(f"the exact scan needs only s={s_exact}; the formula is a safe overestimate.")
@@ -45,7 +45,7 @@ print("the formula sizes the tail bound range * W(t - range + 1), about eight ti
 print("the exact leakage here, so it reaches delta only at a larger size.")
 
 # Gaussian: certified window vs exact scan, plus a genuinely infeasible target
-window = gaussian_support_window(4.0, 0.4, 1.0, 2)
+window = sufficient_support(Kernel.gaussian(1.0), 4.0, 0.4, 2)
 res = min_feasible_support(Kernel.gaussian(1.0), 4.0, 0.4, 2)
 print(f"\nGaussian sigma=1, eps=4, range=2, delta=0.4: certified window {window},")
 print(f"exact minimum s={res.s_chosen} (delta*={res.achieved_delta_star:.4f})")

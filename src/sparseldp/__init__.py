@@ -12,9 +12,8 @@ from .calibration import (
     SweepRow,
     clean_bound,
     feasibility_min_support,
-    gaussian_support_window,
-    laplace_sufficient_support,
     min_feasible_support,
+    sufficient_support,
     sweep_param,
     sweep_support,
 )
@@ -69,8 +68,6 @@ __all__ = [
     "distortion_moments",
     "exhaustive_event_defect",
     "feasibility_min_support",
-    "gaussian_support_window",
-    "laplace_sufficient_support",
     "load_spec",
     "min_feasible_support",
     "ordered_defect",
@@ -80,6 +77,7 @@ __all__ = [
     "separation_breakdown",
     "separation_profile",
     "spec_from_dict",
+    "sufficient_support",
     "sweep_param",
     "sweep_support",
     "truncated_pmf",

@@ -1,9 +1,10 @@
 """Support-size calibration for the window families.
 
 Covers the disjointness feasibility threshold, the leakage-only regime where
-the overlap excess provably vanishes (`clean_bound` reports it, with its tail
-bounds and sufficient support sizes), the minimum-support design search, and
-sweep drivers that tabulate the privacy/distortion tradeoff.
+the overlap excess provably vanishes (`clean_bound` reports it with its tail
+bound, `sufficient_support` gives the sizes that bound certifies), the
+minimum-support design search, and sweep drivers that tabulate the
+privacy/distortion tradeoff.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .mechanisms import (
     TruncatedParams,
     _check_delta,
     _check_epsilon,
+    _check_instance,
     _check_int,
-    _check_kernel,
     _check_list,
     _check_real,
     _window_moments,
@@ -125,58 +126,45 @@ def _tail_size(kernel: Kernel, delta: float, privacy_range: int) -> int:
     return max(_next_odd_at_least(2 * privacy_range - 1 + 2.0 * reach), 2 * privacy_range + 1)
 
 
-def laplace_sufficient_support(epsilon: float, delta: float, lam: float, privacy_range: int) -> int:
-    """Smallest odd support size certified by the Laplace leakage tail bound.
+def sufficient_support(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> tuple[int, int] | None:
+    """Odd support sizes (lo, hi) certified by the leakage tail bound, or None if there are none.
 
-    Requires the leakage-only regime (lam * range <= epsilon, ties within 8
-    roundings counting, the engine's rule); the returned size always
-    satisfies the exact worst-case defect target, since the bound dominates
-    the exact defect.  A size past 2**53 - 1, the largest the library
-    accepts, raises SpecError.
+    Every odd size from lo to hi meets the target: lo is the least with
+    range * W(t - range + 1) <= delta, a bound on the exact defect, and hi the
+    largest with no positive overlap term up to the range (ties within 8
+    roundings clean, the engine's rule).  For Laplace (lam * range <= epsilon)
+    no size is too large, so hi is 2**53 - 1, the largest size accepted.
     """
+    kernel = _check_instance("kernel", kernel, Kernel)
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 1)
-    kernel = Kernel.laplace(lam)
-    if privacy_range > _clean_radius(kernel, epsilon, privacy_range):
-        raise SpecError(f"leakage-only bound needs lam * range <= epsilon, got {lam} * {privacy_range} > {epsilon}")
-    s = _tail_size(kernel, delta, privacy_range)
-    if s > _MAX_SIZE:
-        raise SpecError(f"the certified support size, about {float(s):.3g}, is past 2**53 - 1, the largest accepted")
-    return s
+    sizes = _certified_sizes(kernel, epsilon, delta, privacy_range)
+    return None if sizes is None or sizes[0] > _MAX_SIZE else (sizes[0], min(sizes[1], _MAX_SIZE))
 
 
-def gaussian_support_window(epsilon: float, delta: float, sigma: float, privacy_range: int):
-    """Odd support sizes certified for the Gaussian family, or None if empty.
+def _certified_sizes(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> tuple[int, float] | None:
+    """(tail size, 2 * clean radius + 1), uncapped, or None if no odd size lies between them; range >= 1.
 
-    The lower end comes from the leakage tail, the upper end from the
-    quadratic overlap condition (ties within 8 roundings clean, the engine's
-    rule); between them every odd size meets the target.  The upper end
-    stops at 2**53 - 1, the largest size the library accepts.
-    """
-    epsilon = _check_epsilon(epsilon)
-    delta = _check_delta(delta)
-    privacy_range = _check_int("privacy range", privacy_range, 1)
-    kernel = Kernel.gaussian(sigma)
-    s_lo = _tail_size(kernel, delta, privacy_range)
-    s_hi = min(2 * _clean_radius(kernel, epsilon, privacy_range) + 1, _MAX_SIZE)
-    return None if s_lo > s_hi else (s_lo, s_hi)
+    The tail size, which can be past float range, is formed only where some size from 2 range + 1 up is clean."""
+    radius = _clean_radius(kernel, epsilon, privacy_range)
+    if privacy_range > radius:
+        return None
+    size = _tail_size(kernel, delta, privacy_range)
+    return None if size > 2 * radius + 1 else (size, 2 * radius + 1)
 
 
 def _default_scan_limit(kernel: Kernel, epsilon: float, delta: float, privacy_range: int) -> int:
-    # the cap covers the leakage tail for moderate delta and rises to the tail size where a clean
-    # radius certifies it, read only if some size from 2 range + 1 up is clean.  It stops at 2^53 - 1,
-    # the largest size `_check_int` accepts; a cap already there (lam < 4.4e-15, sigma > 3.3e7) needs
-    # no tail bound, which could be past float range.
+    # the cap covers the leakage tail for moderate delta and rises to the certified tail size.  It stops
+    # at 2^53 - 1, the largest size `_check_int` accepts; a cap already there (lam < 4.4e-15,
+    # sigma > 3.3e7) needs no tail bound, which could be past float range.
     if kernel.family == LAPLACE:
         cap = 2 * privacy_range + 1 + math.ceil(min(40.0 / kernel.param, 2.0**53))
     else:
         cap = 4 * privacy_range + 1 + math.ceil(min(8.0 * kernel.param * kernel.param, 2.0**53))
-    radius = _clean_radius(kernel, epsilon, privacy_range)
-    if 0 < privacy_range <= radius and cap < _MAX_SIZE:
-        size = _tail_size(kernel, delta, privacy_range)
-        if size <= 2 * radius + 1:
-            cap = max(cap, size)
+    sizes = _certified_sizes(kernel, epsilon, delta, privacy_range) if privacy_range and cap < _MAX_SIZE else None
+    if sizes is not None:
+        cap = max(cap, sizes[0])
     return _next_odd_at_least(min(cap, _MAX_SIZE))
 
 
@@ -199,9 +187,8 @@ def min_feasible_support(
 
     Sizes below the disjointness threshold are skipped when delta < 1 (their
     defect is exactly 1); for delta = 1 the scan starts at s = 1, which is
-    always feasible.  The default scan limit reaches every size that a tail
-    bound (`laplace_sufficient_support`, the low end of
-    `gaussian_support_window`) certifies.
+    always feasible.  The default scan limit reaches the low end of
+    `sufficient_support`, the least size the tail bound certifies.
 
     In the Laplace clean regime (lam * range <= epsilon, ties within 8
     roundings counting as clean, the engine's rule; range >= 1, delta < 1)
@@ -226,7 +213,7 @@ def min_feasible_support(
     the closed form, the answer may be the next odd size after the smallest
     whose exact defect is within delta.
     """
-    kernel = _check_kernel(kernel)
+    kernel = _check_instance("kernel", kernel, Kernel)
     epsilon = _check_epsilon(epsilon)
     delta = _check_delta(delta)
     privacy_range = _check_int("privacy range", privacy_range, 0)

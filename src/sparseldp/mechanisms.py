@@ -106,11 +106,11 @@ def _check_delta(delta) -> float:
     return _check_real("target delta", delta, "lie in (0, 1]", lambda v: 0 < v <= 1)
 
 
-def _check_kernel(kernel) -> Kernel:
-    """`kernel` itself if it is a `Kernel`, which checked its family and parameter when it was built."""
-    if not isinstance(kernel, Kernel):
-        raise SpecError(f"kernel must be a Kernel, got {kernel!r}")
-    return kernel
+def _check_instance(name: str, value, cls: type):
+    """`value` itself if it is a `cls` (a kernel, window or channel), which checked its fields when it was built."""
+    if not isinstance(value, cls):
+        raise SpecError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ class MechanismSpec:
     distance: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        _check_kernel(self.kernel)
+        _check_instance("kernel", self.kernel, Kernel)
         for field in ("inputs", "outputs"):
             symbols = _check_list(field, getattr(self, field))
             if not symbols:
@@ -221,7 +221,7 @@ class TruncatedParams:
     s: int
 
     def __post_init__(self):
-        _check_kernel(self.kernel)
+        _check_instance("kernel", self.kernel, Kernel)
         s = _check_int("support size", self.s, 1)
         if s % 2 == 0:
             raise SpecError(f"support size must be odd so the window radius is an integer, got {s}")
@@ -245,7 +245,7 @@ def window_weights(kernel: Kernel, radius: int) -> np.ndarray:
     """Kernel weights at offsets -radius..radius, ascending."""
     radius = _check_int("radius", radius, 0)
     k = np.abs(np.arange(-radius, radius + 1)).astype(float)
-    return np.exp(_check_kernel(kernel).log_weight(k))
+    return np.exp(_check_instance("kernel", kernel, Kernel).log_weight(k))
 
 
 def truncated_pmf(params: TruncatedParams, x: int) -> dict[int, float]:
@@ -278,7 +278,7 @@ def _row(mechanism: Union[MechanismSpec, TruncatedParams], x: int) -> tuple[Sequ
 
 def truncated_spec(params: TruncatedParams, inputs: Sequence[int]) -> MechanismSpec:
     """Materialize the window family as an explicit finite spec on `inputs`."""
-    t = params.t
+    t = _check_instance("window", params, TruncatedParams).t
     inputs = tuple(_check_int("input symbol", x) for x in _check_list("inputs", inputs, "input symbols"))
     supports = {x: tuple(range(x - t, x + t + 1)) for x in inputs}
     outputs = tuple(sorted({y for sup in supports.values() for y in sup}))
@@ -289,6 +289,7 @@ def distortion_moments(params: TruncatedParams) -> DistortionMoments:
     """Distortion moments r1 = 2 sum_j j W(j) / C_t and r2 = 2 sum_j j^2 W(j) / C_t over j = 1..t.
 
     C_t is `np.sum` over the full window; design searches and sweeps read the same floats from their table."""
+    params = _check_instance("window", params, TruncatedParams)
     return _window_moments(np.exp(params.kernel.log_weight(np.arange(params.t + 1, dtype=float))))
 
 

@@ -22,8 +22,8 @@ from .mechanisms import (
     SpecError,
     TruncatedParams,
     _check_epsilon,
+    _check_instance,
     _check_int,
-    _check_kernel,
 )
 
 
@@ -70,7 +70,7 @@ def pure_ldp_epsilon(spec: MechanismSpec) -> PureLdpResult:
     x_prime (inputs as declared), then y ascending: the first mismatch
     output, or the first strict maximum of the loss.
     """
-    inputs = spec.inputs
+    inputs = _check_instance("channel", spec, MechanismSpec).inputs
     common = spec.support(inputs[0])
     if any(spec.support(x) != common for x in inputs):
         member = np.zeros((len(inputs), len(spec.outputs)), dtype=bool)  # row input, column output
@@ -102,7 +102,7 @@ def ordered_defect(spec: MechanismSpec, x: int, x_prime: int, epsilon: float) ->
     finite epsilon >= 0 is answered; from 709 up, e^eps q is exp(min(eps + log q, 700)).
     """
     epsilon = _check_epsilon(epsilon)
-    p = spec.pmf(x)
+    p = _check_instance("channel", spec, MechanismSpec).pmf(x)
     q = spec.pmf(x_prime)
     shifted = dict(zip(q, _times_exp(np.array(list(q.values())), epsilon).tolist()))
     leakage = excess = 0.0
@@ -309,7 +309,7 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     epsilon = _check_epsilon(epsilon)
     t = _check_int("radius", radius, 0)
     h = _check_int("separation", separation, 0)
-    leakage, excess, _ = _WindowTable(_check_kernel(kernel), t).breakdown(t, h, epsilon)
+    leakage, excess, _ = _WindowTable(_check_instance("kernel", kernel, Kernel), t).breakdown(t, h, epsilon)
     return DefectBreakdown(float(leakage), float(excess))
 
 

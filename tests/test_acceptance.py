@@ -17,12 +17,11 @@ from sparseldp import (
     clean_bound,
     distortion_moments,
     exhaustive_event_defect,
-    gaussian_support_window,
-    laplace_sufficient_support,
     min_feasible_support,
     ordered_defect,
     sample,
     separation_breakdown,
+    sufficient_support,
     sweep_param,
     sweep_support,
     truncated_pmf,
@@ -249,7 +248,7 @@ def test_criterion_8_calibration_soundness():
     for lam, H in ((0.25, 1), (0.25, 2), (0.5, 1), (0.5, 2), (1.0 / 3.0, 3)):
         epsilon = lam * H
         for delta in (0.05, 0.1, 0.3):
-            s = laplace_sufficient_support(epsilon, delta, lam, H)
+            s = sufficient_support(Kernel.laplace(lam), epsilon, delta, H)[0]
             exact, _ = worst_case_defect(Kernel.laplace(lam), s, epsilon, H)
             sound &= exact <= delta
             checked += 1
@@ -258,7 +257,7 @@ def test_criterion_8_calibration_soundness():
         for H in (1, 2):
             for epsilon in (2.0, 4.0):
                 for delta in (0.2, 0.4):
-                    window = gaussian_support_window(epsilon, delta, sigma, H)
+                    window = sufficient_support(Kernel.gaussian(sigma), epsilon, delta, H)
                     if window is None:
                         continue
                     for s in range(window[0], window[1] + 1, 2):

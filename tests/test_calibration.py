@@ -16,11 +16,10 @@ from sparseldp import (
     clean_bound,
     distortion_moments,
     feasibility_min_support,
-    gaussian_support_window,
-    laplace_sufficient_support,
     min_feasible_support,
     ordered_defect,
     separation_breakdown,
+    sufficient_support,
     sweep_param,
     sweep_support,
     truncated_spec,
@@ -194,42 +193,55 @@ class TestCleanBoundSoundness:
         assert not rep.applicable
 
 
-class TestLaplaceSufficientSupport:
+@st.composite
+def certificate_cases(draw):
+    """(kernel, eps, delta, range) for either family, with eps on both sides of the edge where sizes are certified."""
+    r = draw(st.integers(1, 30))
+    delta = 10.0 ** draw(st.floats(-12.0, 0.0))
+    factor = draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+    if draw(st.booleans()):
+        lam = 10.0 ** draw(st.floats(-2.0, 1.0))
+        return Kernel.laplace(lam), lam * r * factor, delta, r
+    # the Gaussian's overlap term r (2t - r) / (2 sigma^2) at the radius the tail bound needs
+    sigma = 10.0 ** draw(st.floats(-1.0, 2.0))
+    t = r + sigma * math.sqrt(2.0 * math.log(r / delta))
+    return Kernel.gaussian(sigma), r * (2.0 * t - r) / (2.0 * sigma * sigma) * factor, delta, r
+
+
+class TestSufficientSupport:
     def test_log_free_case(self):
-        assert laplace_sufficient_support(1.0, 1.0, 1.0, 1) == 3
+        assert sufficient_support(Kernel.laplace(1.0), 1.0, 1.0, 1)[0] == 3
 
     def test_worked_example(self):
         # eps=1, H=3, lam=eps/H: the tail formula lands between 29 and 31
-        s = laplace_sufficient_support(1.0, 0.05, 1.0 / 3.0, 3)
+        s = sufficient_support(Kernel.laplace(1.0 / 3.0), 1.0, 0.05, 3)[0]
         assert s == 31
         delta, _ = worst_case_defect(Kernel.laplace(1.0 / 3.0), s, 1.0, 3)
         assert delta <= 0.05
 
     def test_nonincreasing_in_delta(self):
-        sizes = [laplace_sufficient_support(1.0, d, 1.0 / 3.0, 3) for d in (0.05, 0.1, 0.2)]
+        sizes = [sufficient_support(Kernel.laplace(1.0 / 3.0), 1.0, d, 3)[0] for d in (0.05, 0.1, 0.2)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_returned_size_always_meets_target(self):
         for lam, H in ((0.25, 2), (0.5, 2), (0.25, 4)):
             for delta in (0.02, 0.1, 0.3):
                 eps = lam * H
-                s = laplace_sufficient_support(eps, delta, lam, H)
+                s = sufficient_support(Kernel.laplace(lam), eps, delta, H)[0]
                 assert s % 2 == 1 and s >= 2 * H + 1
                 exact, _ = worst_case_defect(Kernel.laplace(lam), s, eps, H)
                 assert exact <= delta
 
     def test_precondition(self):
-        with pytest.raises(SpecError, match="lam"):
-            laplace_sufficient_support(1.0, 0.1, 0.6, 2)
+        # lam * range > eps: the overlap excess never vanishes, so the tail bound certifies no size
+        assert sufficient_support(Kernel.laplace(0.6), 1.0, 0.1, 2) is None
         with pytest.raises(SpecError, match="delta"):
-            laplace_sufficient_support(1.0, 0.0, 0.25, 2)
+            sufficient_support(Kernel.laplace(0.25), 1.0, 0.0, 2)
         with pytest.raises(SpecError, match="range"):
-            laplace_sufficient_support(1.0, 0.1, 0.25, 0)
+            sufficient_support(Kernel.laplace(0.25), 1.0, 0.1, 0)
 
-
-class TestGaussianSupportWindow:
     def test_contains_known_size(self):
-        window = gaussian_support_window(4.0, 0.4, 1.0, 2)
+        window = sufficient_support(Kernel.gaussian(1.0), 4.0, 0.4, 2)
         assert window is not None
         s_lo, s_hi = window
         assert s_lo <= 7 <= s_hi
@@ -237,17 +249,17 @@ class TestGaussianSupportWindow:
         assert delta <= 0.4
 
     def test_empty_window(self):
-        assert gaussian_support_window(1.0, 0.35, 2.0, 2) is None
+        assert sufficient_support(Kernel.gaussian(2.0), 1.0, 0.35, 2) is None
 
     def test_upper_end_is_rounded_down_to_odd(self):
         # hi = 1 + 1 + 2 * 2.45 = 6.9, so the largest odd size is 5, not 7
-        assert gaussian_support_window(2.45, 0.9, 1.0, 1) == (3, 5)
+        assert sufficient_support(Kernel.gaussian(1.0), 2.45, 0.9, 1) == (3, 5)
 
     def test_upper_end_stops_at_2_to_53(self):
-        assert gaussian_support_window(1e3, 0.5, 1e7, 1)[1] == 2**53 - 1
+        assert sufficient_support(Kernel.gaussian(1e7), 1e3, 0.5, 1)[1] == 2**53 - 1
 
     def test_log_clamp_when_delta_meets_range(self):
-        window = gaussian_support_window(10.0, 1.0, 1.0, 1)
+        window = sufficient_support(Kernel.gaussian(1.0), 10.0, 1.0, 1)
         assert window is not None
         assert window[0] == 3  # 2H+1 once the tail requirement is vacuous
 
@@ -257,7 +269,7 @@ class TestGaussianSupportWindow:
             for H in (1, 2):
                 for eps in (2.0, 4.0):
                     for delta in (0.2, 0.4):
-                        window = gaussian_support_window(eps, delta, sigma, H)
+                        window = sufficient_support(Kernel.gaussian(sigma), eps, delta, H)
                         if window is None:
                             continue
                         s_lo, s_hi = window
@@ -268,6 +280,22 @@ class TestGaussianSupportWindow:
                             assert exact <= delta
         assert hits > 10  # the grid must actually exercise nonempty windows
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(certificate_cases())
+    @example((Kernel.laplace(0.5), 1.0, 0.5, 2))  # lam * range = eps, the clean edge: (9, 2**53 - 1)
+    @example((Kernel.laplace(1e-300), 1.0, 1e-300, 2))  # clean, but the tail size is about 1.4e303
+    def test_certified_sizes_against_the_clean_report_and_the_engine(self, case):
+        kernel, eps, delta, r = case
+        got = sufficient_support(kernel, eps, delta, r)
+        laplace = kernel.family == "laplace"
+        assert (got is not None and got[1] == 2**53 - 1) == (got is not None and laplace)
+        if laplace:
+            clean = clean_bound(kernel, 2 * r + 1, eps, r).condition_overlap
+            assert (got is None) == (not clean or calibration._tail_size(kernel, delta, r) > 2**53 - 1)
+        if got is not None and got[0] <= 20001:  # the radius-t table of the low end fits
+            assert clean_bound(kernel, got[0], eps, r).applicable
+            assert worst_case_defect(kernel, got[0], eps, r)[0] <= delta
+
 
 @pytest.mark.parametrize(
     "call, param",
@@ -276,10 +304,13 @@ class TestGaussianSupportWindow:
         (lambda p: clean_bound(Kernel.laplace(p), 17, 2.0999999999999996, 3), Fraction(7, 10)),
         (lambda p: clean_bound(Kernel.gaussian(p), 5, 0.8875740296090829, 1), np.float32(1.3)),
         (lambda p: clean_bound(Kernel.gaussian(p), 7, 1.0, 2), Fraction(3, 2)),
-        (lambda p: laplace_sufficient_support(0.45000001788139343, 0.5488116229270158, p, 1), np.float32(0.3)),
-        (lambda p: laplace_sufficient_support(0.7, 3.2213164481909267e-12, p, 1), Fraction(7, 10)),
-        (lambda p: gaussian_support_window(24.69135933288663, 0.00036781568740308813, p, 4), np.float32(0.9)),
-        (lambda p: gaussian_support_window(4.0, 0.4, p, 2), Fraction(1, 1)),
+        (lambda p: sufficient_support(Kernel.laplace(p), 0.45000001788139343, 0.5488116229270158, 1), np.float32(0.3)),
+        (lambda p: sufficient_support(Kernel.laplace(p), 0.7, 3.2213164481909267e-12, 1), Fraction(7, 10)),
+        (
+            lambda p: sufficient_support(Kernel.gaussian(p), 24.69135933288663, 0.00036781568740308813, 4),
+            np.float32(0.9),
+        ),
+        (lambda p: sufficient_support(Kernel.gaussian(p), 4.0, 0.4, 2), Fraction(1, 1)),
     ],
     ids=["laplace bound float32", "laplace bound fraction", "gaussian bound float32", "gaussian bound fraction",
          "sufficient float32", "sufficient fraction", "window float32", "window fraction"],
@@ -345,7 +376,7 @@ class TestMinFeasibleSupport:
         # lam * range <= eps: the tail bound certifies a size past the old cap of 87
         kernel, eps, H = Kernel.laplace(0.5), 2.0, 3
         res = min_feasible_support(kernel, eps, delta, H)
-        assert res.feasible and res.s_chosen == chosen <= laplace_sufficient_support(eps, delta, 0.5, H)
+        assert res.feasible and res.s_chosen == chosen <= sufficient_support(kernel, eps, delta, H)[0]
         assert res.achieved_delta_star == worst_case_defect(kernel, res.s_chosen, eps, H)[0] <= delta
         assert worst_case_defect(kernel, res.s_chosen - 2, eps, H)[0] > delta
 
@@ -353,7 +384,7 @@ class TestMinFeasibleSupport:
         # sigma=1, eps=8, range 1, delta=1e-12: the certified window starts at 17,
         # past the old cap of 13
         kernel = Kernel.gaussian(1.0)
-        s_lo, _ = gaussian_support_window(8.0, 1e-12, 1.0, 1)
+        s_lo, _ = sufficient_support(kernel, 8.0, 1e-12, 1)
         res = min_feasible_support(kernel, 8.0, 1e-12, 1)
         assert res.feasible and res.s_chosen == s_lo == 17
         assert res.achieved_delta_star == worst_case_defect(kernel, res.s_chosen, 8.0, 1)[0] <= 1e-12
@@ -392,7 +423,8 @@ class TestMinFeasibleSupport:
     def test_numpy_real_delta_accepted(self, delta):
         got = min_feasible_support(Kernel.laplace(0.5), np.float32(1.0), delta, 3)
         assert got == min_feasible_support(Kernel.laplace(0.5), 1.0, float(delta), 3)
-        assert laplace_sufficient_support(2.0, delta, 0.5, 3) == laplace_sufficient_support(2.0, float(delta), 0.5, 3)
+        kernel = Kernel.laplace(0.5)
+        assert sufficient_support(kernel, 2.0, delta, 3) == sufficient_support(kernel, 2.0, float(delta), 3)
 
     @pytest.mark.parametrize(
         "delta", [np.float32("nan"), np.float64("inf"), np.float32(0.0), np.float64(1.5), np.True_]
@@ -462,7 +494,7 @@ class TestLaplaceClosedForm:
         assert res.feasible and res.s_chosen == res.s_scanned_max == s
         assert res.achieved_delta_star == worst_case_defect(kernel, s, eps, r)[0]
         assert res.moments == distortion_moments(TruncatedParams(kernel, s))
-        assert s <= laplace_sufficient_support(eps, delta, lam, r)
+        assert s <= sufficient_support(kernel, eps, delta, r)[0]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 8), st.floats(0.2, 3.0), st.floats(-12.0, -2.0))

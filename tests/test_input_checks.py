@@ -22,16 +22,17 @@ from sparseldp import (
     TruncatedParams,
     brute_force_defect,
     clean_bound,
+    distortion_moments,
     exhaustive_event_defect,
-    gaussian_support_window,
-    laplace_sufficient_support,
     load_spec,
     min_feasible_support,
     ordered_defect,
+    pure_ldp_epsilon,
     sample,
     sample_counts,
     separation_breakdown,
     separation_profile,
+    sufficient_support,
     sweep_param,
     sweep_support,
     truncated_pmf,
@@ -59,8 +60,7 @@ CALLS = {
     "min_feasible_support s_max": lambda family, a: min_feasible_support(Kernel(family, 1.0), 1.0, 0.1, 2, a),
     "sweep_param": lambda family, a, b, c: sweep_param(family, [a], b, 2, c),
     "clean_bound": lambda family, a, b, c, d: clean_bound(Kernel(family, a), b, c, d),
-    "laplace_sufficient_support": lambda family, a, b, c, d: laplace_sufficient_support(a, b, c, d),
-    "gaussian_support_window": lambda family, a, b, c, d: gaussian_support_window(a, b, c, d),
+    "sufficient_support": lambda family, a, b, c, d: sufficient_support(Kernel(family, a), b, c, d),
     "distance matrix": lambda family, a, b, c: MechanismSpec(
         Kernel(family, 1.0), (0, 1), (0, 1), PAIR.supports, ((a, b), (c, 0.0))
     ),
@@ -128,6 +128,15 @@ MECHANISMS = {
     "sample_counts": lambda v: sample_counts(v, 0, 1, 3),
     "truncated_pmf": lambda v: truncated_pmf(v, 0),
 }
+# each call that takes only a window, and each that takes only a channel
+WINDOWS = {
+    "truncated_spec": lambda v: truncated_spec(v, [0]),
+    "distortion_moments": lambda v: distortion_moments(v),
+}
+CHANNELS = {
+    "ordered_defect": lambda v: ordered_defect(v, 0, 1, 1.0),
+    "pure_ldp_epsilon": lambda v: pure_ldp_epsilon(v),
+}
 NOT_OBJECTS = (None, "laplace", 0.5, ("laplace", 0.5))
 
 
@@ -141,6 +150,18 @@ def test_kernel_argument_that_is_not_a_kernel_raises_spec_error(name, value):
 def test_mechanism_that_is_neither_a_spec_nor_a_window_raises_spec_error(name, value):
     with pytest.raises(SpecError, match="MechanismSpec or TruncatedParams"):
         MECHANISMS[name](value)
+
+
+@pytest.mark.parametrize("name, value", [(name, v) for name in WINDOWS for v in NOT_OBJECTS + (PAIR,)])
+def test_window_argument_that_is_not_a_window_raises_spec_error(name, value):
+    with pytest.raises(SpecError, match="window must be a TruncatedParams"):
+        WINDOWS[name](value)
+
+
+@pytest.mark.parametrize("name, value", [(name, v) for name in CHANNELS for v in NOT_OBJECTS + (WINDOW,)])
+def test_channel_argument_that_is_not_a_channel_raises_spec_error(name, value):
+    with pytest.raises(SpecError, match="channel must be a MechanismSpec"):
+        CHANNELS[name](value)
 
 
 # a str path names a file, so a missing one is an OSError, which the CLI reports with exit 2
@@ -162,11 +183,11 @@ def test_missing_spec_file_is_an_os_error(tmp_path):
         (lambda: exhaustive_event_defect([0.5, 0.5], [0.5, 0.5], 800.0), 0.0),
         (lambda: ordered_defect(PAIR, 0, 1, 1e308).total, 0.0),
         # 2 sigma^2 overflows, so every weight is 1 and the engine counts no positive term at any size
-        (lambda: gaussian_support_window(0.0, 1.0, 1e200, 1), (3, 2**53 - 1)),
-        (lambda: gaussian_support_window(0.5, 0.5, 1e300, 2), None),  # lo is past 2**53 - 1
-        (lambda: gaussian_support_window(1e308, 0.5, 1.0, 1), (5, 2**53 - 1)),
-        (lambda: gaussian_support_window(1e24, 0.5, 1.0, 2**40), (2199023255567, 2918501031321)),
-        (lambda: laplace_sufficient_support(1.0, 1.0, 1e-320, 1), 3),
+        (lambda: sufficient_support(Kernel.gaussian(1e200), 0.0, 1.0, 1), (3, 2**53 - 1)),
+        (lambda: sufficient_support(Kernel.gaussian(1e300), 0.5, 0.5, 2), None),  # lo is past 2**53 - 1
+        (lambda: sufficient_support(Kernel.gaussian(1.0), 1e308, 0.5, 1), (5, 2**53 - 1)),
+        (lambda: sufficient_support(Kernel.gaussian(1.0), 1e24, 0.5, 2**40), (2199023255567, 2918501031321)),
+        (lambda: sufficient_support(Kernel.laplace(1e-320), 1.0, 1.0, 1), (3, 2**53 - 1)),
         (lambda: min_feasible_support(Kernel.gaussian(1e200), 1.0, 0.1, 2).s_chosen, 21),
         (lambda: min_feasible_support(Kernel.laplace(1e-320), 1.0, 0.1, 2).s_chosen, 21),
         (lambda: min_feasible_support(Kernel.gaussian(1.0), 1e308, 0.5, 1).s_chosen, 3),
@@ -182,13 +203,12 @@ def test_extreme_valid_values_are_answered(call, expected):
 def test_size_bound_past_float_range_is_a_spec_error():
     # (2 / lam) log(range / delta) is about 4.6e320
     with pytest.raises(SpecError, match="float range"):
-        laplace_sufficient_support(1.0, 0.1, 1e-320, 2)
+        sufficient_support(Kernel.laplace(1e-320), 1.0, 0.1, 2)
 
 
-def test_certified_size_past_2_to_53_is_a_spec_error():
-    # (2 / lam) log(range / delta) is about 6e300: a finite size that no other call accepts
-    with pytest.raises(SpecError, match=r"2\*\*53 - 1"):
-        laplace_sufficient_support(1.0, 0.1, 1e-300, 2)
+def test_certified_size_past_2_to_53_answers_none():
+    # (2 / lam) log(range / delta) is about 6e300: a finite size that no call accepts, so no size is certified
+    assert sufficient_support(Kernel.laplace(1e-300), 1.0, 0.1, 2) is None
 
 
 def test_default_scan_limit_reads_the_uncapped_tail_size():

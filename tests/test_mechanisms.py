@@ -541,6 +541,12 @@ def test_every_public_function_is_read_outside_the_tests():
     assert [n for n in functions if not re.search(rf"\b{n}\b", text)] == []
 
 
+def test_no_public_function_is_named_for_one_kernel_family():
+    # a call that serves both families takes a Kernel, so no public name picks one
+    functions = [n for n in sparseldp.__all__ if inspect.isfunction(getattr(sparseldp, n))]
+    assert [n for n in functions if n.startswith(("laplace_", "gaussian_"))] == []
+
+
 PUBLIC_CODE = [n for n in sparseldp.__all__ if inspect.isclass(getattr(sparseldp, n))
                or inspect.isfunction(getattr(sparseldp, n))]
 
