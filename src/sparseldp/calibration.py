@@ -250,7 +250,7 @@ def min_feasible_support(
         else:
             (delta_star, _, confirming), bound = _worst_case(kernel, s, epsilon, privacy_range), 0.0
         if delta_star + bound <= delta:  # a closed form answers only a size surely within delta
-            moments = _laplace_moments(lam, s // 2) if closed else _window_moments(confirming.weights)
+            moments = _laplace_moments(lam, s // 2) if closed else _window_moments(confirming.ring[1:])
             return DesignResult(True, s, delta_star, moments, s)
         s += 2
     return DesignResult(False, None, None, None, s_max if start <= s_max else 0)
@@ -351,7 +351,7 @@ def _sweep(points: list, epsilon: float, privacy_range: int, empty_message: str)
     rows = []
     for varied, kernel, s in points:
         delta_star, _, table = _worst_case(kernel, s, epsilon, privacy_range)
-        m = _window_moments(table.weights)
+        m = _window_moments(table.ring[1:])
         rows.append(SweepRow(float(varied), delta_star, m.r1, m.r2))
     return rows
 

@@ -89,8 +89,9 @@ def _check_list(name: str, values, of: str = "integers") -> tuple:
 
 def _check_real(name: str, value, requirement: str, accept=lambda v: v >= 0, where=()) -> float:
     """`value` as a float if it is a real number, not a bool, whose float is finite and passes `accept` (>= 0)."""
+    exact = type(value) is float or type(value) is int  # before the ABC check, which is slow and runs per call
     try:
-        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+        real = float(value) if exact or isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer or fraction past float range
         real = math.nan
     if math.isfinite(real) and accept(real):
@@ -289,15 +290,15 @@ def distortion_moments(params: TruncatedParams) -> DistortionMoments:
     """Distortion moments r1 = 2 sum_j j W(j) / C_t and r2 = 2 sum_j j^2 W(j) / C_t over j = 1..t.
 
     C_t is `np.sum` over the full window; design searches and sweeps read the same floats from their table."""
-    params = _check_instance("window", params, TruncatedParams)
-    return _window_moments(np.exp(params.kernel.log_weight(np.arange(params.t + 1, dtype=float))))
+    t = _check_instance("window", params, TruncatedParams).t
+    return _window_moments(np.exp(params.kernel.log_weight(np.abs(np.arange(-t, t + 1, dtype=float)))))
 
 
-def _window_moments(weights: np.ndarray) -> DistortionMoments:
-    """The moments of `distortion_moments` from the kernel weights W(0..t)."""
-    tail = weights[1:]
-    c = float(np.concatenate((tail[::-1], weights)).sum())
-    j = np.arange(1, weights.size, dtype=float)
+def _window_moments(window: np.ndarray) -> DistortionMoments:
+    """The moments of `distortion_moments` from the window's kernel weights W(t), ..., W(1), W(0), ..., W(t)."""
+    tail = window[window.size // 2 + 1 :]
+    c = float(window.sum())
+    j = np.arange(1, tail.size + 1, dtype=float)
     return DistortionMoments(float(2.0 * (j * tail).sum() / c), float(2.0 * (j * j * tail).sum() / c))
 
 

@@ -170,26 +170,28 @@ _UNTIED = 1.0 - 2.0**-50
 class _WindowTable:
     """Prefix masses of every window of radius <= t_max for one kernel.
 
-    `weights[j]` is the kernel weight W(j) at distance j = 0..t_max, the same
-    floats `window_weights` gives.  `prefix[i]` is the mass of the i
-    outermost offsets -t_max..-t_max+i-1, summed from the tail inwards, so
-    the first m entries of the radius-t window weigh
-    G_t(m) = prefix[t_max-t+m] - prefix[t_max-t] and its normalizer is
-    C_t = G_t(2t+1).  Leakage and overlap excess at any (t, h) are then a
-    few lookups, following the paper's split of the two-sum closed form.
+    `ring` is 0 and then the radius-t_max window W(t_max), ..., W(0), ..., W(t_max), the kernel
+    weights at each offset, the same floats `window_weights` gives.  `prefix[i]` is the mass
+    of the i outermost offsets -t_max..-t_max+i-1, summed from the tail inwards, so the first
+    m entries of the radius-t window weigh G_t(m) = prefix[t_max-t+m] - prefix[t_max-t] and
+    its normalizer is C_t = G_t(2t+1).  Leakage and overlap excess at any (t, h) are then a
+    few lookups (`breakdown`), following the paper's split of the two-sum closed form;
+    `separations` reads every h at t = t_max from one slice.
     """
 
     def __init__(self, kernel: Kernel, t_max: int):
-        self.kernel = kernel
-        self.t_max = t_max
-        self.weights = np.exp(kernel.log_weight(np.arange(t_max + 1, dtype=float)))
-        ring = np.concatenate(([0.0], self.weights[:0:-1], self.weights))
-        prefix = ring.cumsum()
-        # each addition's rounding error, recovered exactly (TwoSum), is added
-        # back, so every prefix is within about one rounding of its exact sum
-        prev = np.concatenate(([0.0], prefix[:-1]))
-        added = prefix - prev
-        self.prefix = prefix + ((prev - (prefix - added)) + (ring - added)).cumsum()
+        self.kernel, self.t_max = kernel, t_max
+        self.ring = ring = np.zeros(2 * t_max + 2)
+        np.exp(kernel.log_weight(np.arange(t_max + 1, dtype=float)), out=ring[t_max + 1 :])
+        ring[1 : t_max + 1] = ring[: t_max + 1 : -1]
+        prefix, added = ring.cumsum(), np.zeros(ring.size)
+        # TwoSum: each addition's exact rounding error, (prev - (prefix - added)) + (ring - added) with
+        # added = prefix - prev and prev the prefix one place back (0 at entry 0), is added back
+        np.subtract(prefix[1:], prefix[:-1], out=added[1:])
+        err = prefix - added
+        np.subtract(prefix[:-1], err[1:], out=err[1:])
+        err += np.subtract(ring, added, out=added)
+        self.prefix = np.add(prefix, err.cumsum(out=err), out=prefix)
         # Every prefix is within u (1 + n u) of its exact sum, n = len(prefix),
         # so each difference errs by at most that much of both its ends;
         # doubling covers the same quantity on any other table.
@@ -240,6 +242,29 @@ class _WindowTable:
             excess = np.maximum(p[ah + k] - p_h - _times_exp(p[a + k] - p_a, epsilon), 0.0) / c  # 0 where k = 0
             excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
         return leakage, excess, k
+
+    def separations(self, top: int, epsilon: float):
+        """`breakdown`'s floats for the radius-t_max window at separations 0..top <= 2 t_max + 1: (leakage, excess, lo).
+
+        prefix[0] is exactly 0, so the leakage is one slice prefix[:top+1] / C_t.  The excess is formed only
+        where K(h) > 0 and returned as excess[i] at separation lo + i (0 elsewhere): with `_overlap_threshold`'s
+        n or m, that is |h - t| <= d for d = t - n (h in [n, 2t - n], Laplace) or d = isqrt(t^2 - m)
+        (h (2t - h) >= m, Gaussian), where K(h) = t + 1 - (h + j_min + 1) // 2 needs no clamp.
+        """
+        t, p, c = self.t_max, self.prefix, self.prefix[2 * self.t_max + 1]
+        leakage = p[: top + 1] / c
+        threshold, laplace = _overlap_threshold(self.kernel, epsilon, t), self.kernel.family == LAPLACE
+        d = t - threshold if laplace else math.isqrt(t * t - threshold) if threshold <= t * t else -1
+        lo, hi = t - d, min(t + d, top)
+        if hi < lo:
+            return leakage, leakage[:0], 0
+        h = np.arange(lo, hi + 1)
+        j_min = threshold if laplace else -np.floor_divide(-threshold, h)  # n, or ceil(m / h)
+        k = (t + 1) - (h + (j_min + 1)) // 2
+        shifted = _times_exp(p[k], epsilon)  # e^eps G_t(K)
+        excess = np.maximum(p[h + k] - p[lo : hi + 1] - shifted, 0.0) / c
+        np.minimum(excess, np.subtract(1.0, leakage[lo : hi + 1], out=shifted), out=excess)  # leakage + excess <= 1
+        return leakage, excess, lo
 
     def error_bound(self, t, k, epsilon: float):
         """Per radius, how far a total `breakdown` gave can be from the same quantity on any table of this kernel.
@@ -324,11 +349,11 @@ def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: in
 def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int]:
     """Max separation defect over separations 0..privacy_range, with argmax.
 
-    Every separation is evaluated at once from one radius-t prefix table
-    (no monotonicity in the separation is assumed); separation 0
-    contributes 0, ties break toward the smallest separation, and the
-    values are those of `separation_breakdown`.  Separations past 2t + 1
-    repeat its exact total of 1, so they are not evaluated.
+    Every separation is read at once from one radius-t prefix table (no monotonicity in the separation is
+    assumed): the leakage as one prefix slice over C_t, the overlap excess only on the interval of
+    separations with a positive term (`_WindowTable.separations`).  Separation 0 contributes 0, ties break
+    toward the smallest separation, and the values are those of `separation_breakdown`.  Separations past
+    2t + 1 repeat its exact total of 1, so they are not evaluated.
     """
     return _worst_case(kernel, s, epsilon, privacy_range)[:2]
 
@@ -339,6 +364,6 @@ def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     table = _WindowTable(kernel, t)
-    leakage, excess, _ = table.breakdown(t, np.arange(min(privacy_range, 2 * t + 1) + 1), epsilon)
-    total = leakage + excess  # exactly 0 at separation 0, so the first argmax is 0 when nothing leaks
+    total, excess, lo = table.separations(min(privacy_range, 2 * t + 1), epsilon)
+    total[lo : lo + excess.size] += excess  # exactly 0 at separation 0, so the first argmax is 0 when nothing leaks
     return float(total.max()), int(total.argmax()), table

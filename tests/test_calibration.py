@@ -465,6 +465,18 @@ def breakdown_ranks(monkeypatch):
     return ranks
 
 
+def separation_reads(monkeypatch):
+    """The radius of each later `_WindowTable.separations` call: one per worst case read at a single radius."""
+    radii, separations = [], _WindowTable.separations
+
+    def spy(self, top, epsilon):
+        radii.append(self.t_max)
+        return separations(self, top, epsilon)
+
+    monkeypatch.setattr(_WindowTable, "separations", spy)
+    return radii
+
+
 def table_radii(monkeypatch):
     """The radius of each `_WindowTable` built from here on."""
     radii = []
@@ -523,7 +535,7 @@ class TestLaplaceClosedForm:
         # both forms round differently; 64 roundings of relative error is the stated tolerance
         lam = 10.0**log_lam
         got = _laplace_moments(lam, t)
-        want = _window_moments(np.exp(Kernel.laplace(lam).log_weight(np.arange(t + 1, dtype=float))))
+        want = _window_moments(_WindowTable(Kernel.laplace(lam), t).ring[1:])
         assert got.r1 == pytest.approx(want.r1, rel=64 * 2.0**-53, abs=1e-300)
         assert got.r2 == pytest.approx(want.r2, rel=64 * 2.0**-53, abs=1e-300)
 
@@ -633,9 +645,9 @@ class TestLaplaceClosedForm:
         assert (res.achieved_delta_star.hex(), res.moments.r1.hex(), res.moments.r2.hex()) == answer_hex
 
     def test_located_designs_scan_no_block(self, monkeypatch):
-        blocks = breakdown_ranks(monkeypatch)
+        blocks, reads = breakdown_ranks(monkeypatch), separation_reads(monkeypatch)
         res = min_feasible_support(Kernel.laplace(0.01), 1.0, 1e-6, 50)
-        assert res.s_chosen == 2539 and blocks == [0]  # the confirming radius-t read alone
+        assert res.s_chosen == 2539 and blocks == [] and reads == [1269]  # the confirming radius-t read alone
 
     def test_size_past_the_scan_limit_is_infeasible(self):
         res = min_feasible_support(Kernel.laplace(0.01), 1.0, 1e-6, 50, s_max=2537)

@@ -9,6 +9,7 @@ without NaN or a SpecError for being out of range.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from sparseldp import (
     worst_case_defect,
 )
 from sparseldp.calibration import _default_scan_limit
+from sparseldp.mechanisms import _check_real
 
 MALFORMED = [True, False, math.nan, math.inf, -math.inf, 10**400, -(10**400), "1", None, np.bool_(True)]
 NUMPY = [np.float64(0.5), np.int64(3), np.float32(2.0), np.uint8(1)]
@@ -198,6 +200,51 @@ def test_missing_spec_file_is_an_os_error(tmp_path):
 )
 def test_extreme_valid_values_are_answered(call, expected):
     assert call() == expected
+
+
+class MyInt(int):
+    pass
+
+
+REAL_REQUIREMENT = "epsilon must be a nonnegative finite number, got "
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (True, REAL_REQUIREMENT + "True"),
+        (np.bool_(True), REAL_REQUIREMENT + repr(np.bool_(True))),
+        (10**400, REAL_REQUIREMENT + "1" + "0" * 400),
+        (-(10**400), REAL_REQUIREMENT + "-1" + "0" * 400),
+        (Fraction(10**400), REAL_REQUIREMENT + f"Fraction({10**400}, 1)"),
+        (np.float64(-1.0), REAL_REQUIREMENT + repr(np.float64(-1.0))),
+        (-3, REAL_REQUIREMENT + "-3"),
+        (math.nan, REAL_REQUIREMENT + "nan"),
+        ("1", REAL_REQUIREMENT + "'1'"),
+        (np.float64(0.5), 0.5),
+        (np.int64(3), 3.0),
+        (Fraction(1, 3), 1 / 3),
+        (MyInt(7), 7.0),
+        (7, 7.0),
+        (2**1000, 2.0**1000),
+        (0.25, 0.25),
+    ],
+    ids=["True", "np.bool_", "10**400", "-10**400", "Fraction 10**400", "np.float64 -1", "-3", "nan", "str",
+         "np.float64 0.5", "np.int64", "Fraction 1/3", "int subclass", "7", "2**1000", "0.25"],
+)
+def test_real_check_keeps_its_answers_and_messages(value, expected):
+    # exact float and int are taken before the numbers.Real check; every other value follows that rule
+    if isinstance(expected, str):
+        with pytest.raises(SpecError) as err:
+            _check_real("epsilon", value, "be a nonnegative finite number")
+        assert str(err.value) == expected
+        with pytest.raises(SpecError) as err:
+            worst_case_defect(LAPLACE, 7, value, 3)
+        assert str(err.value) == expected
+    else:
+        got = _check_real("epsilon", value, "be a nonnegative finite number")
+        assert type(got) is float and got == expected
+        assert worst_case_defect(LAPLACE, 7, value, 3) == worst_case_defect(LAPLACE, 7, expected, 3)
 
 
 def test_size_bound_past_float_range_is_a_spec_error():

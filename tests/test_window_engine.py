@@ -9,6 +9,7 @@ chooses.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -72,7 +73,7 @@ class TestTable:
     @pytest.mark.parametrize("kernel", [Kernel.laplace(0.3), Kernel.gaussian(7.0), Kernel.laplace(2.5)])
     def test_weights_are_the_window_weights(self, kernel):
         for t in (0, 1, 7, 300):
-            assert np.array_equal(_WindowTable(kernel, t).weights, window_weights(kernel, t)[t:])
+            assert np.array_equal(_WindowTable(kernel, t).ring, np.concatenate(([0.0], window_weights(kernel, t))))
 
     def test_prefix_is_the_tail_first_window_mass(self):
         kernel, t = Kernel.laplace(0.4), 6
@@ -210,6 +211,58 @@ class TestSeparationProfile:
         leakage, excess = separation_profile(kernel, 2 * t + 1, eps, privacy_range)
         total = leakage + excess
         assert (float(total.max()), int(total.argmax())) == worst_case_defect(kernel, 2 * t + 1, eps, privacy_range)
+
+
+@st.composite
+def single_radius_reads(draw):
+    """(kernel, eps, t, top) with t <= 2000 and top <= 2t + 1; eps includes ties and values past 709."""
+    if draw(st.booleans()):
+        kernel, eps = draw(ties)
+    else:
+        kernel, eps = draw(kernels), draw(st.one_of(epsilons, st.sampled_from([709.0, 720.0, 1e308])))
+    t = draw(st.integers(0, 2000))
+    return kernel, eps, t, draw(st.integers(0, 2 * t + 1))
+
+
+class TestSingleRadiusRead:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(single_radius_reads())
+    @example((Kernel.laplace(0.05), 0.3, 8, 17))  # 0.05 * 6 rounds above 0.3: a tie, no positive term
+    @example((Kernel.laplace(3.0), 720.0, 300, 601))  # e^eps overflows on a nonempty K > 0 interval
+    @example((Kernel.gaussian(1.0), 1.9, 2, 5))  # m = 4 = t^2: the interval is the single separation t
+    @example((Kernel.laplace(0.5), 1.0, 0, 1))
+    def test_equals_breakdown_over_every_separation(self, case):
+        # `separations` must give `breakdown`'s floats, and its excess interval [lo, hi] must be
+        # exactly where `positive_terms` is nonzero
+        kernel, eps, t, top = case
+        table = _WindowTable(kernel, t)
+        hs = np.arange(top + 1)
+        leakage, excess, _ = table.breakdown(t, hs, eps)
+        got_leakage, segment, lo = table.separations(top, eps)
+        got_excess = np.zeros(top + 1)
+        got_excess[lo : lo + segment.size] = segment
+        assert np.array_equal(got_leakage, leakage) and np.array_equal(got_excess, excess)
+        total = got_leakage + got_excess
+        assert np.array_equal(total, leakage + excess) and total.argmax() == (leakage + excess).argmax()
+        assert worst_case_defect(kernel, 2 * t + 1, eps, top) == (float(total.max()), int(total.argmax()))
+        positive = np.flatnonzero(table.positive_terms(t, hs, eps))
+        if positive.size:
+            assert (lo, lo + segment.size - 1) == (positive[0], positive[-1])
+        else:
+            assert segment.size == 0
+
+    def test_memory_peak_of_a_large_worst_case(self):
+        # t = 10^6: an array of 2t + 2 floats is 16 MB.  The table keeps two (ring and prefix) and its
+        # build needs two more; the read adds the leakage slice (half an array) and a few temporaries on
+        # the K > 0 interval.  Broadcasting `breakdown` over every separation instead peaked at 6.5 arrays.
+        t = 10**6
+        tracemalloc.start()
+        try:
+            assert worst_case_defect(Kernel.laplace(1e-5), 2 * t + 1, 1.0, t)[1] == t
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * (2 * t + 2)
 
 
 def radius_bound(table, t, hs, eps):
