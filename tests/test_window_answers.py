@@ -4,7 +4,8 @@
 float written with `float.hex`, so a replay passes only when every float is
 bit for bit what was recorded.  The calls cover both kernel families, tie
 epsilons (lam * n == eps, including 0.05 * 6 against 0.3), epsilons past
-709 where e^eps overflows, range 0, ranges past 2t + 1 and radius 0.  After
+709 where e^eps overflows, range 0, ranges past 2t + 1, radius 0, and
+single separations at 0, 2t, 2t + 1, 2t + 2 and 2**53.  After
 a deliberate change to the numbers, rewrite the recordings with
 
     PYTHONPATH=src python tests/test_window_answers.py
@@ -23,7 +24,16 @@ import sys
 import numpy as np
 import pytest
 
-from sparseldp import Kernel, min_feasible_support, separation_profile, sweep_param, sweep_support, worst_case_defect
+from sparseldp import (
+    Kernel,
+    clean_bound,
+    min_feasible_support,
+    separation_breakdown,
+    separation_profile,
+    sweep_param,
+    sweep_support,
+    worst_case_defect,
+)
 
 RECORDINGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "window_answers.json")
 
@@ -36,6 +46,8 @@ EPSILONS = [0.0, 0.3, 1.0, 2.5, 720.0, 1e308]
 LAPLACE_TIES = [(0.05, 0.3), (1 / 3, 1.0), (0.1, 0.3), (0.2, 0.6), (0.25, 0.5), (0.3, 0.9), (0.7, 2.1), (0.01, 0.03)]
 GAUSSIAN_TIES = [(1.0, 0.5), (2.0, 0.125), (1 / 3, 4.5), (3.0, 1 / 9), (0.5, 2.0), (1.5, 2 / 9)]
 TIES = [("laplace", lam, eps) for lam, eps in LAPLACE_TIES] + [("gaussian", sig, eps) for sig, eps in GAUSSIAN_TIES]
+# the single-separation calls also take 709, where `_times_exp` switches to logs
+BREAKDOWN_EPSILONS = EPSILONS + [709.0]
 
 
 def _cases() -> list[tuple[str, tuple]]:
@@ -55,6 +67,20 @@ def _cases() -> list[tuple[str, tuple]]:
             cases.append(("separation_profile", (kernel, s, EPSILONS[(i + 2 * j) % len(EPSILONS)], r)))
     for family, param, eps in TIES[::2]:
         cases.append(("separation_profile", ((family, param), 21, eps, 22)))
+    for i, kernel in enumerate(KERNELS):
+        for j, t in enumerate((0, 1, 5, 300)):
+            for k, h in enumerate(sorted({0, 1, t, 2 * t, 2 * t + 1, 2 * t + 2, 2**53})):
+                eps = BREAKDOWN_EPSILONS[(i + j + k) % len(BREAKDOWN_EPSILONS)]
+                cases.append(("separation_breakdown", (kernel, eps, t, h)))
+    for family, param, eps in TIES:
+        for t, h in ((8, 0), (8, 2), (8, 6), (8, 7), (8, 10), (8, 16), (8, 17), (30, 7), (30, 30), (30, 45)):
+            cases.append(("separation_breakdown", ((family, param), eps, t, h)))
+    for i, kernel in enumerate(KERNELS):
+        for j, (s, r) in enumerate(SIZES):
+            cases.append(("clean_bound", (kernel, s, BREAKDOWN_EPSILONS[(i + j) % len(BREAKDOWN_EPSILONS)], r)))
+    for family, param, eps in TIES:
+        for s, r in ((9, 2), (13, 6), (21, 3), (61, 10)):
+            cases.append(("clean_bound", ((family, param), s, eps, r)))
     for i, kernel in enumerate(KERNELS):
         sizes = [[1, 3, 5, 7], [13], [101, 201, 401, 801, 1601, 3201]][i % 3]
         for r, eps in ((3, 1.0), (50, EPSILONS[i % len(EPSILONS)])):
@@ -87,6 +113,8 @@ def _cases() -> list[tuple[str, tuple]]:
 CASES = _cases()
 CALLS = {
     "worst_case_defect": worst_case_defect,
+    "separation_breakdown": separation_breakdown,
+    "clean_bound": clean_bound,
     "separation_profile": separation_profile,
     "sweep_support": sweep_support,
     "sweep_param": sweep_param,
