@@ -186,8 +186,8 @@ def min_feasible_support(
     """Smallest window size meeting the defect target, by closed form or ascending exact scan.
 
     Sizes below the disjointness threshold are skipped when delta < 1 (their
-    defect is exactly 1); for delta = 1 the scan starts at s = 1, which is
-    always feasible.  The default scan limit reaches the low end of
+    defect is exactly 1); for delta = 1 every size is feasible, and s = 1 is
+    confirmed without a scan.  The default scan limit reaches the low end of
     `sufficient_support`, the least size the tail bound certifies.
 
     In the Laplace clean regime (lam * range <= epsilon, ties within 8
@@ -233,14 +233,13 @@ def min_feasible_support(
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
     table = None
     while s <= s_max:
-        if located is None:
+        if located is None and delta < 1.0:  # s >= range + 1; at delta = 1, s = 1 is feasible and confirmed at once
             sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
-            t = sizes[:, None] // 2
-            if table is None or table.t_max < t[-1, 0]:
-                table = _WindowTable(kernel, min(max(int(t[-1, 0]), 2 * table.t_max if table else 0), s_max // 2))
-            leakage, excess, k = table.breakdown(t, hs, epsilon)
-            total = (leakage + excess).max(axis=1, initial=0.0)
-            surely_above = total - table.error_bound(t[:, 0], k, epsilon) > delta
+            t = sizes // 2
+            if table is None or table.t_max < t[-1]:
+                table = _WindowTable(kernel, min(max(int(t[-1]), 2 * table.t_max if table else 0), s_max // 2))
+            totals, k = table.breakdown(t, hs, epsilon)
+            surely_above = totals.max(axis=1, initial=0.0) - table.error_bound(t, k, epsilon) > delta
             if surely_above.all():
                 s = int(sizes[-1]) + 2
                 continue

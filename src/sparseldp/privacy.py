@@ -165,6 +165,7 @@ def _times_exp(mass: np.ndarray, epsilon: float) -> np.ndarray:
 _EXP_LIMIT = 709.0  # e^eps overflows past 709.78
 # a log-ratio must beat epsilon after shrinking by 8 roundings to count as positive
 _UNTIED = 1.0 - 2.0**-50
+_NO_TERMS = (np.arange(0), np.arange(0))  # `positive_terms` of an empty interval
 
 
 class _WindowTable:
@@ -174,9 +175,9 @@ class _WindowTable:
     weights at each offset, the same floats `window_weights` gives.  `prefix[i]` is the mass
     of the i outermost offsets -t_max..-t_max+i-1, summed from the tail inwards, so the first
     m entries of the radius-t window weigh G_t(m) = prefix[t_max-t+m] - prefix[t_max-t] and
-    its normalizer is C_t = G_t(2t+1).  Leakage and overlap excess at any (t, h) are then a
-    few lookups (`breakdown`), following the paper's split of the two-sum closed form;
-    `separations` reads every h at t = t_max from one slice.
+    its normalizer is C_t = G_t(2t+1).  Leakage and overlap excess then follow the paper's split
+    of the two-sum closed form: `separations` reads every separation at t = t_max from one slice,
+    and `breakdown` reads the design scan's blocks of smaller radii; both take K from `positive_terms`.
     """
 
     def __init__(self, kernel: Kernel, t_max: int):
@@ -197,79 +198,74 @@ class _WindowTable:
         # doubling covers the same quantity on any other table.
         self.rounding = 4.0 * 2.0**-53 * (1.0 + self.prefix.size * 2.0**-53)
 
-    def positive_terms(self, t, h, epsilon: float):
-        """K(h): the number of leading overlap terms w[h+k] - e^eps w[k] that are positive.
+    def positive_terms(self, t: int, top: int, epsilon: float):
+        """(h, K): the separations h = lo..hi <= top where the radius-t window has K(h) > 0, and K(h) there.
 
-        Term k compares distances |h+k-t| and |k-t|.  With j = 2t - h - 2k its
-        log-ratio is lam * min(h, j) (Laplace) or h * j / (2 sigma^2)
-        (Gaussian): an exact integer times one float, so the comparison with
-        epsilon is monotone in k and the positive terms are a prefix.  A
-        log-ratio within 8 roundings of itself above epsilon, such as
-        0.05 * 6 against 0.3, is a tie: its term is zero to the precision of
-        the float weights, and counting it would only add rounding dust.  The
-        threshold comes from `_overlap_threshold`, which the clean-regime tests
-        of `calibration` also read, so K is exactly 0 wherever they hold.
+        K(h) counts the leading overlap terms w[h+k] - e^eps w[k] that are positive.  Term k
+        compares distances |h+k-t| and |k-t|.  With j = 2t - h - 2k its log-ratio is
+        lam * min(h, j) (Laplace) or h * j / (2 sigma^2) (Gaussian): an exact integer times one
+        float, so the comparison with epsilon is monotone in k and the positive terms are a prefix.
+        A log-ratio within 8 roundings of itself above epsilon, such as 0.05 * 6 against 0.3, is a
+        tie: its term is zero to the precision of the float weights, and counting it would only add
+        rounding dust.  The threshold is `_overlap_threshold`'s n or m, which the clean-regime tests
+        of `calibration` also read, so K is exactly 0 wherever they hold.  K > 0 exactly for
+        |h - t| <= d, with d = t - n (h in [n, 2t - n], Laplace) or d = isqrt(t^2 - m)
+        (h (2t - h) >= m, Gaussian), and there K(h) = t + 1 - (h + j_min + 1) // 2 for j_min = n
+        or ceil(m / h).  A radius t' < t has K lower by t - t', on a sub-interval.
         """
-        t, h = np.asarray(t), np.asarray(h)
-        threshold = _overlap_threshold(self.kernel, epsilon, self.t_max)
-        if self.kernel.family == LAPLACE:
-            if h.max(initial=0) < threshold:  # every separation is in the clean regime
-                return np.zeros(np.broadcast(t, h).shape, dtype=int)
-            j_min = np.where(h >= threshold, threshold, 2 * self.t_max + 2)
-        else:
-            j_min = np.where(h > 0, -(-threshold // np.maximum(h, 1)), 2 * self.t_max + 2)
-        # (2t - h - j_min) // 2 + 1 = t - ((h + j_min + 1) // 2 - 1); j_min = 2 t_max + 2: no term at any t
-        return np.maximum(t - ((h + j_min + 1) // 2 - 1), 0)
-
-    def breakdown(self, t, h, epsilon: float):
-        """Leakage, overlap excess and K(h) of radius-t windows h apart, broadcast over arrays.
-
-        Leakage is G_t(h) / C_t; the excess is (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t,
-        exactly 0 when K = 0 (and not computed when K is 0 at every (t, h)).  Every
-        finite eps >= 0 is answered: e^eps G_t(K) is formed by `_times_exp`.  Separations
-        beyond 2t read the window end, G_t(2t+1) = C_t, so they give exactly (1, 0), and
-        K = 0 there because j_min >= 1.  K is what `error_bound` reads; others drop it.
-        """
-        t, h = np.asarray(t), np.asarray(h)
-        p, a, end = self.prefix, self.t_max - t, self.t_max + 1 + t
-        ah = np.minimum(a + h, end)  # the window end past 2t
-        p_a, p_h, p_c = p[a], p[ah], p[end]
-        c = p_c - p_a
-        leakage = (p_h - p_a) / c
-        k = self.positive_terms(t, h, epsilon)
-        excess = np.zeros(leakage.shape)
-        if k.any():
-            excess = np.maximum(p[ah + k] - p_h - _times_exp(p[a + k] - p_a, epsilon), 0.0) / c  # 0 where k = 0
-            excess = np.minimum(excess, 1.0 - leakage)  # so leakage + excess cannot round above 1
-        return leakage, excess, k
-
-    def separations(self, top: int, epsilon: float):
-        """`breakdown`'s floats for the radius-t_max window at separations 0..top <= 2 t_max + 1: (leakage, excess, lo).
-
-        prefix[0] is exactly 0, so the leakage is one slice prefix[:top+1] / C_t.  The excess is formed only
-        where K(h) > 0 and returned as excess[i] at separation lo + i (0 elsewhere): with `_overlap_threshold`'s
-        n or m, that is |h - t| <= d for d = t - n (h in [n, 2t - n], Laplace) or d = isqrt(t^2 - m)
-        (h (2t - h) >= m, Gaussian), where K(h) = t + 1 - (h + j_min + 1) // 2 needs no clamp.
-        """
-        t, p, c = self.t_max, self.prefix, self.prefix[2 * self.t_max + 1]
-        leakage = p[: top + 1] / c
         threshold, laplace = _overlap_threshold(self.kernel, epsilon, t), self.kernel.family == LAPLACE
         d = t - threshold if laplace else math.isqrt(t * t - threshold) if threshold <= t * t else -1
         lo, hi = t - d, min(t + d, top)
         if hi < lo:
-            return leakage, leakage[:0], 0
+            return _NO_TERMS
         h = np.arange(lo, hi + 1)
         j_min = threshold if laplace else -np.floor_divide(-threshold, h)  # n, or ceil(m / h)
-        k = (t + 1) - (h + (j_min + 1)) // 2
+        return h, (t + 1) - (h + (j_min + 1)) // 2
+
+    def separations(self, top: int, epsilon: float):
+        """(leakage, excess, lo) of the radius-t_max window at separations 0..top <= 2 t_max + 1.
+
+        prefix[0] is exactly 0, so the leakage G_t(h) / C_t is one slice prefix[:top+1] / C_t.  The excess,
+        (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, is formed only where K(h) > 0 (`positive_terms`) and returned
+        as excess[i] at separation lo + i; it is exactly 0 elsewhere.  Every finite eps >= 0 is answered:
+        e^eps G_t(K) is formed by `_times_exp`.
+        """
+        p, c = self.prefix, self.prefix[2 * self.t_max + 1]
+        leakage = p[: top + 1] / c
+        h, k = self.positive_terms(self.t_max, top, epsilon)
+        if not k.size:
+            return leakage, leakage[:0], 0
+        lo, hi = int(h[0]), int(h[-1])
         shifted = _times_exp(p[k], epsilon)  # e^eps G_t(K)
         excess = np.maximum(p[h + k] - p[lo : hi + 1] - shifted, 0.0) / c
         np.minimum(excess, np.subtract(1.0, leakage[lo : hi + 1], out=shifted), out=excess)  # leakage + excess <= 1
         return leakage, excess, lo
 
-    def error_bound(self, t, k, epsilon: float):
-        """Per radius, how far a total `breakdown` gave can be from the same quantity on any table of this kernel.
+    def breakdown(self, t: np.ndarray, hs: np.ndarray, epsilon: float):
+        """The design scan's block read: totals of ascending radii t over separations hs = 1..top, and K of t[-1].
 
-        `t` holds ascending radii and `k` their rows of K(h) from `breakdown`.
+        2 t[0] >= top, so no separation passes a window end.  Row i holds the leakage + excess of radius t[i],
+        as `separations` forms them, from this table's prefixes.  The excess is formed only on t[-1]'s K > 0
+        interval, where row i's K is t[-1]'s less t[-1] - t[i], clamped at 0.  K of t[-1] on that interval is
+        what `error_bound` reads.
+        """
+        p, a = self.prefix, self.t_max - t[:, None]
+        p_a = p[a]
+        c = p[self.t_max + 1 + t[:, None]] - p_a
+        totals = (p[a + hs] - p_a) / c
+        h, k = self.positive_terms(int(t[-1]), hs.size, epsilon)
+        if k.size:
+            rows = np.maximum(k - (t[-1] - t[:, None]), 0)
+            cols = slice(h[0] - 1, h[-1])  # hs[cols] is h
+            p_h = p[a + h]
+            excess = np.maximum(p[a + h + rows] - p_h - _times_exp(p[a + rows] - p_a, epsilon), 0.0) / c
+            totals[:, cols] += np.minimum(excess, 1.0 - totals[:, cols], out=excess)  # so a total cannot round above 1
+        return totals, k
+
+    def error_bound(self, t, k, epsilon: float):
+        """Per radius, how far a block total can be from the same quantity on any table of this kernel.
+
+        `t` holds a block's ascending radii and `k` the K(h) of t[-1] that `breakdown` gives with its totals.
         A total rounds by at most `rounding` times six prefixes, none past the
         window end, plus e^eps (p[a+K] + p[a]) where K > 0, over C_t
         (a = t_max - t).  The prefix is monotone, so a row's largest K covers
@@ -277,7 +273,7 @@ class _WindowTable:
         """
         p_a, p_end = self.prefix[self.t_max - t], self.prefix[self.t_max + 1 + t]
         ends = (6.0 * self.rounding) * p_end
-        q = t[-1] - k[-1].max(initial=0)  # K = max(t - q(h), 0): the least q(h), so t - q is a row's largest K
+        q = t[-1] - k.max(initial=0)  # row i's K is max(K of t[-1] - (t[-1] - t[i]), 0): its largest is t[i] - q
         if q < t[-1]:
             i = t.searchsorted(q, "right")  # rows i.. have K > 0; p[a + t - q] = p[t_max - q]
             if epsilon < _EXP_LIMIT:  # finite: rounding * e^eps < 4e292 and no table holds 1e15 weights
@@ -333,9 +329,9 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     """
     epsilon = _check_epsilon(epsilon)
     t = _check_int("radius", radius, 0)
-    h = _check_int("separation", separation, 0)
-    leakage, excess, _ = _WindowTable(_check_instance("kernel", kernel, Kernel), t).breakdown(t, h, epsilon)
-    return DefectBreakdown(float(leakage), float(excess))
+    top = min(_check_int("separation", separation, 0), 2 * t + 1)  # disjoint past 2t + 1, as at 2t + 1: (1, 0)
+    leakage, excess, lo = _WindowTable(_check_instance("kernel", kernel, Kernel), t).separations(top, epsilon)
+    return DefectBreakdown(float(leakage[top]), float(excess[top - lo]) if top - lo < excess.size else 0.0)
 
 
 def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +339,11 @@ def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: in
     t = TruncatedParams(kernel, s).t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
-    return _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), epsilon)[:2]
+    top = min(privacy_range, 2 * t + 1)  # separations past 2t + 1 are disjoint: (1, 0), as at 2t + 1
+    part, segment, lo = _WindowTable(kernel, t).separations(top, epsilon)
+    leakage, excess = np.ones(privacy_range + 1), np.zeros(privacy_range + 1)
+    leakage[: top + 1], excess[lo : lo + segment.size] = part, segment
+    return leakage, excess
 
 
 def worst_case_defect(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[float, int]:

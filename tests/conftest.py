@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from sparseldp import Kernel, MechanismSpec, TruncatedParams, truncated_pmf
+from sparseldp.privacy import _UNTIED
 
 SYMBOLS = np.arange(-10, 11)
 
@@ -144,24 +145,42 @@ def direct_design(kernel, epsilon, delta, privacy_range, s_max):
     return None, scanned
 
 
-def per_cell_error_bound(table, t, hs, epsilon):
-    """The exact per-cell rounding bound of radius-t totals at separations `hs`, 0 where disjoint.
+def tie_rule_counts(kernel, epsilon, t, hs):
+    """K(h) of the radius-t window at each separation in `hs`, by the engine's tie rule, term by term.
+
+    Term k = 0..2t - h at separation h compares offsets h + k - t and k - t.
+    With j = 2t - h - 2k its log-ratio is lam * min(h, j) (Laplace) or
+    h * j / (2 sigma^2) (Gaussian), formed in the engine's float steps, and
+    the term counts when that log-ratio times `_UNTIED` exceeds epsilon.
+    Every term is evaluated: no prefix, interval or threshold is assumed.
+    """
+    h, k = np.asarray(hs)[:, None], np.arange(2 * t + 1)
+    j = 2 * t - h - 2 * k
+    if kernel.family == "laplace":
+        ratio = kernel.param * np.minimum(h, j)
+    else:
+        ratio = h * j / (2.0 * kernel.param * kernel.param)
+    return ((ratio * _UNTIED > epsilon) & (k <= 2 * t - h)).sum(axis=1)
+
+
+def per_cell_error_bound(table, t, top, epsilon):
+    """The exact per-cell rounding bound of the block totals of radius t at separations 1..top <= 2t.
 
     Each total rounds by at most `table.rounding` times the prefixes it
     reads, p[a+h] + p[a] + total (p[e] + p[a]), plus p[a+h+K] + p[a+h] +
     e^eps (p[a+K] + p[a]) where K > 0, over C_t; the table's per-radius
-    `error_bound` must never be below it.
+    `error_bound` must never be below it.  K comes from `tie_rule_counts`.
     """
-    hs = np.asarray(hs)
-    leakage, excess, k = table.breakdown(t, hs, epsilon)
-    p, a, h = table.prefix, table.t_max - t, np.minimum(hs, 2 * t)
-    p_a, p_h, p_e = p[a], p[a + h], p[table.t_max + 1 + t]
+    hs = np.arange(1, top + 1)
+    total = table.breakdown(np.array([t]), hs, epsilon)[0][0]
+    k = tie_rule_counts(table.kernel, epsilon, t, hs)
+    p, a = table.prefix, table.t_max - t
+    p_a, p_h, p_e = p[a], p[a + hs], p[table.t_max + 1 + t]
     e_eps = math.exp(epsilon) if epsilon < 709.0 else math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = p_h + p_a + (leakage + excess) * (p_e + p_a)
-        ends += np.where(k > 0, p[a + h + k] + p_h + e_eps * (p[a + k] + p_a), 0.0)
-        bound = table.rounding * ends / (p_e - p_a)
-    return np.where(hs > 2 * t, 0.0, bound)
+        ends = p_h + p_a + total * (p_e + p_a)
+        ends += np.where(k > 0, p[a + hs + k] + p_h + e_eps * (p[a + k] + p_a), 0.0)
+        return table.rounding * ends / (p_e - p_a)
 
 
 def error_cap(table, t, epsilon):

@@ -108,7 +108,7 @@ def around(boundary):
 
 def no_positive_term(kernel, eps, t, privacy_range):
     """The engine's verdict: K(h) = 0 at every separation up to the range on the radius-t table."""
-    return not _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), eps)[2].any()
+    return _WindowTable(kernel, t).separations(min(privacy_range, 2 * t + 1), eps)[1].size == 0  # excess where K > 0
 
 
 class TestCleanBoundSoundness:
@@ -453,16 +453,16 @@ def clean_laplace_designs(draw):
     return lam, eps, min(r * math.exp(-lam * m), 0.999), r
 
 
-def breakdown_ranks(monkeypatch):
-    """The rank of `t` in each later `_WindowTable.breakdown` call: 2 for a scanned block, 0 for one radius."""
-    ranks, breakdown = [], _WindowTable.breakdown
+def block_reads(monkeypatch):
+    """The radii of each later `_WindowTable.breakdown` call, the design scan's block read."""
+    reads, breakdown = [], _WindowTable.breakdown
 
-    def spy(self, t, h, epsilon):
-        ranks.append(np.ndim(t))
-        return breakdown(self, t, h, epsilon)
+    def spy(self, t, hs, epsilon):
+        reads.append(t.tolist())
+        return breakdown(self, t, hs, epsilon)
 
     monkeypatch.setattr(_WindowTable, "breakdown", spy)
-    return ranks
+    return reads
 
 
 def separation_reads(monkeypatch):
@@ -526,7 +526,7 @@ class TestLaplaceClosedForm:
         t = min(t, math.floor(700.0 / lam))
         h = round(u * (t + 1))
         leakage, bound = _laplace_leakage(lam, t, h)
-        table = _WindowTable(Kernel.laplace(lam), t).breakdown(t, h, lam * h)[0]
+        table = _WindowTable(Kernel.laplace(lam), t).separations(h, lam * h)[0][h]
         assert abs(leakage - float(table)) <= bound
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -601,9 +601,9 @@ class TestLaplaceClosedForm:
         lam, eps, r = 0.3, 1.0, 3
         delta = math.nextafter(_laplace_leakage(lam, 40, r)[0], 0.0)
         assert _laplace_clean_radius(lam, delta, r, feasibility_min_support(r), 10**6) == 40
-        blocks = breakdown_ranks(monkeypatch)
+        blocks = block_reads(monkeypatch)
         res = min_feasible_support(Kernel.laplace(lam), eps, delta, r)
-        assert 2 not in blocks  # no block of sizes x separations was scanned
+        assert blocks == []  # no block of sizes x separations was scanned
         assert res.s_chosen == linear_scan_design(Kernel.laplace(lam), eps, delta, r)
 
     def test_delta_within_the_bound_past_the_table_radius(self, monkeypatch):
@@ -645,7 +645,7 @@ class TestLaplaceClosedForm:
         assert (res.achieved_delta_star.hex(), res.moments.r1.hex(), res.moments.r2.hex()) == answer_hex
 
     def test_located_designs_scan_no_block(self, monkeypatch):
-        blocks, reads = breakdown_ranks(monkeypatch), separation_reads(monkeypatch)
+        blocks, reads = block_reads(monkeypatch), separation_reads(monkeypatch)
         res = min_feasible_support(Kernel.laplace(0.01), 1.0, 1e-6, 50)
         assert res.s_chosen == 2539 and blocks == [] and reads == [1269]  # the confirming radius-t read alone
 

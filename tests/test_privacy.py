@@ -23,7 +23,7 @@ from sparseldp import (
     window_weights,
     worst_case_defect,
 )
-from conftest import log_normalizer, log_ratio, plain_gap, random_common_support_spec, random_spec
+from conftest import log_normalizer, log_ratio, plain_gap, random_common_support_spec, random_spec, tie_rule_counts
 from sparseldp.privacy import _WindowTable
 
 
@@ -422,10 +422,27 @@ class TestPositiveTerms:
                 assert min(abs(eps - r) for r in ratios) > 0.01  # no tie
                 yield h, eps
 
+    @staticmethod
+    def engine(kernel, t, eps):
+        """K(h) at separations 0..2t + 1: `positive_terms` on its interval, 0 off it."""
+        h, k = _WindowTable(kernel, t).positive_terms(t, 2 * t + 1, eps)
+        counts = np.zeros(2 * t + 2, dtype=int)
+        counts[h] = k
+        return counts
+
     def test_engine_counts_the_positive_overlap_terms(self, kernel, t):
-        table = _WindowTable(kernel, t)
         for h, eps in self.cases(kernel, t):
-            assert table.positive_terms(t, h, eps) == self.counted(kernel, t, h, eps), (h, eps)
+            assert self.engine(kernel, t, eps)[h] == self.counted(kernel, t, h, eps), (h, eps)
+
+    def test_engine_counts_by_the_tie_rule(self, kernel, t):
+        # every log-ratio of the window is a tie epsilon, and its term must not count
+        if kernel.family == "laplace":
+            tie_eps = [kernel.param * n for n in range(1, t + 1)]
+        else:
+            tie_eps = [h * j / (2.0 * kernel.param * kernel.param) for h in range(1, 2 * t) for j in range(1, 2 * t)]
+        for eps in (*self.EPSILONS, *tie_eps, 0.0, 709.0, 720.0, 1e308):
+            want = tie_rule_counts(kernel, eps, t, np.arange(2 * t + 2))
+            assert np.array_equal(self.engine(kernel, t, eps), want), eps
 
     def test_excess_is_zero_exactly_where_no_term_is_positive(self, kernel, t):
         for h, eps in self.cases(kernel, t):

@@ -17,8 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_breakdown, direct_design, direct_worst_case, error_cap, per_cell_error_bound
+from conftest import (
+    direct_breakdown,
+    direct_design,
+    direct_worst_case,
+    error_cap,
+    per_cell_error_bound,
+    tie_rule_counts,
+)
 from sparseldp import (
+    DesignResult,
     Kernel,
     TruncatedParams,
     clean_bound,
@@ -155,8 +163,8 @@ class TestAgainstDirectFormula:
             boundary = privacy_range * (2 * t - privacy_range) / (2.0 * kernel.param * kernel.param)
         eps = math.nextafter(boundary, side * math.inf) if side else boundary
         rep = clean_bound(kernel, 2 * t + 1, eps, privacy_range)
-        _, excess, k = _WindowTable(kernel, t).breakdown(t, np.arange(privacy_range + 1), eps)
-        assert rep.applicable == rep.condition_size == (not k.any())
+        _, excess, _ = _WindowTable(kernel, t).separations(privacy_range, eps)  # excess only where K > 0
+        assert rep.applicable == rep.condition_size == (excess.size == 0)
         assert rep.applicable and not excess.any()
 
 
@@ -212,16 +220,35 @@ class TestSeparationProfile:
         total = leakage + excess
         assert (float(total.max()), int(total.argmax())) == worst_case_defect(kernel, 2 * t + 1, eps, privacy_range)
 
+    def test_memory_peak_of_a_long_profile(self):
+        # range 10^6 on a radius-3 window: every separation past 2t + 1 is (1, 0), so the two arrays
+        # returned are all the memory it needs
+        privacy_range = 10**6
+        tracemalloc.start()
+        try:
+            leakage, excess = separation_profile(Kernel.laplace(0.5), 7, 1.0, privacy_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leakage[7:].min() == 1.0 and not excess[7:].any()
+        assert peak <= 2.5 * 8 * (privacy_range + 1)
+
 
 @st.composite
-def single_radius_reads(draw):
-    """(kernel, eps, t, top) with t <= 2000 and top <= 2t + 1; eps includes ties and values past 709."""
+def single_radius_reads(draw, radii=st.integers(0, 2000)):
+    """(kernel, eps, t, top) with top <= 2t + 1; eps includes ties and values past 709."""
     if draw(st.booleans()):
         kernel, eps = draw(ties)
     else:
         kernel, eps = draw(kernels), draw(st.one_of(epsilons, st.sampled_from([709.0, 720.0, 1e308])))
-    t = draw(st.integers(0, 2000))
+    t = draw(radii)
     return kernel, eps, t, draw(st.integers(0, 2 * t + 1))
+
+
+def block(table, t, top, eps):
+    """The block read of the single radius t over separations 1..top <= 2t: (its row of totals, K of t)."""
+    totals, k = table.breakdown(np.array([t]), np.arange(1, top + 1), eps)
+    return totals[0], k
 
 
 class TestSingleRadiusRead:
@@ -231,30 +258,41 @@ class TestSingleRadiusRead:
     @example((Kernel.laplace(3.0), 720.0, 300, 601))  # e^eps overflows on a nonempty K > 0 interval
     @example((Kernel.gaussian(1.0), 1.9, 2, 5))  # m = 4 = t^2: the interval is the single separation t
     @example((Kernel.laplace(0.5), 1.0, 0, 1))
-    def test_equals_breakdown_over_every_separation(self, case):
-        # `separations` must give `breakdown`'s floats, and its excess interval [lo, hi] must be
-        # exactly where `positive_terms` is nonzero
+    def test_equals_the_block_read_over_every_separation(self, case):
+        # `separations` and the design's block read of the one radius t form the same floats; the
+        # separation 2t + 1, past the block's reach, leaks everything
         kernel, eps, t, top = case
         table = _WindowTable(kernel, t)
-        hs = np.arange(top + 1)
-        leakage, excess, _ = table.breakdown(t, hs, eps)
-        got_leakage, segment, lo = table.separations(top, eps)
-        got_excess = np.zeros(top + 1)
-        got_excess[lo : lo + segment.size] = segment
-        assert np.array_equal(got_leakage, leakage) and np.array_equal(got_excess, excess)
-        total = got_leakage + got_excess
-        assert np.array_equal(total, leakage + excess) and total.argmax() == (leakage + excess).argmax()
+        leakage, segment, lo = table.separations(top, eps)
+        total = leakage.copy()
+        total[lo : lo + segment.size] += segment
+        reach = min(top, 2 * t)
+        assert total[0] == 0.0 and np.array_equal(total[1 : reach + 1], block(table, t, reach, eps)[0])
+        if top == 2 * t + 1:
+            assert total[top] == 1.0
         assert worst_case_defect(kernel, 2 * t + 1, eps, top) == (float(total.max()), int(total.argmax()))
-        positive = np.flatnonzero(table.positive_terms(t, hs, eps))
-        if positive.size:
-            assert (lo, lo + segment.size - 1) == (positive[0], positive[-1])
-        else:
-            assert segment.size == 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(single_radius_reads(st.integers(0, 300)))
+    @example((Kernel.laplace(0.05), 0.3, 8, 17))
+    @example((Kernel.laplace(3.0), 720.0, 300, 601))
+    @example((Kernel.gaussian(1.0), 1.9, 2, 5))
+    @example((Kernel.laplace(0.5), 1.0, 0, 1))
+    def test_interval_is_where_the_tie_rule_counts_a_term(self, case):
+        # the excess interval lo..hi must be exactly the separations where the term-by-term count is
+        # nonzero, ties included, and K on it must be that count
+        kernel, eps, t, top = case
+        table = _WindowTable(kernel, t)
+        counts = tie_rule_counts(kernel, eps, t, np.arange(top + 1))
+        h, k = table.positive_terms(t, top, eps)
+        assert np.array_equal(h, np.flatnonzero(counts)) and np.array_equal(k, counts[h])
+        _, segment, lo = table.separations(top, eps)
+        assert segment.size == h.size and (lo == h[0] if h.size else lo == 0)
 
     def test_memory_peak_of_a_large_worst_case(self):
         # t = 10^6: an array of 2t + 2 floats is 16 MB.  The table keeps two (ring and prefix) and its
         # build needs two more; the read adds the leakage slice (half an array) and a few temporaries on
-        # the K > 0 interval.  Broadcasting `breakdown` over every separation instead peaked at 6.5 arrays.
+        # the K > 0 interval.  Broadcasting over every separation instead peaked at 6.5 arrays.
         t = 10**6
         tracemalloc.start()
         try:
@@ -265,29 +303,22 @@ class TestSingleRadiusRead:
         assert peak <= 5 * 8 * (2 * t + 2)
 
 
-def radius_bound(table, t, hs, eps):
-    """The table's per-radius error bound of radius t over separations `hs`."""
-    return float(table.error_bound(np.array([t]), table.breakdown(t, np.atleast_2d(hs), eps)[2], eps)[0])
+def radius_bound(table, t, top, eps):
+    """The table's per-radius error bound of radius t over separations 1..top <= 2t."""
+    return float(table.error_bound(np.array([t]), block(table, t, top, eps)[1], eps)[0])
 
 
 class TestErrorBound:
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
-    # disjoint separations on tables that reach past the window end
-    @example(Kernel.laplace(0.5), 1.0, (3, 7), 10)
-    @example(Kernel.laplace(0.05), 0.3, (8, 18), 1500)
-    @example(Kernel.gaussian(2.0), 0.125, (0, 2), 1)
-    @example(Kernel.gaussian(60.0), 5.0, (500, 1002), 1500)
     def test_covers_a_radius_t_table(self, kernel, eps, case, extra):
-        t, h = case
+        t, top = case[0], min(case[1], 2 * case[0])
         table = _WindowTable(kernel, t + extra)
-        big = table.breakdown(t, h, eps)
-        own = _WindowTable(kernel, t).breakdown(t, h, eps)
-        bound = radius_bound(table, t, h, eps)
-        assert abs((big[0] + big[1]) - (own[0] + own[1])) <= bound
+        big = block(table, t, top, eps)[0]
+        own = block(_WindowTable(kernel, t), t, top, eps)[0]
+        bound = radius_bound(table, t, top, eps)
+        assert np.all(abs(big - own) <= bound)
         assert bound <= 1e-12
-        if h > 2 * t:  # disjoint windows read the window end, however far the table reaches past it
-            assert (float(big[0]), float(big[1]), int(big[2])) == (1.0, 0.0, 0)
 
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
@@ -296,24 +327,29 @@ class TestErrorBound:
     @example(Kernel.laplace(0.022158178309758948), 0.003945304767848934, (5, 0), 1494)
     def test_at_least_the_per_cell_bound_of_every_separation(self, kernel, eps, case, extra):
         t, _ = case
-        table, hs = _WindowTable(kernel, t + extra), np.arange(2 * t + 3)
-        assert radius_bound(table, t, hs, eps) >= per_cell_error_bound(table, t, hs, eps).max()
+        table = _WindowTable(kernel, t + extra)
+        assert radius_bound(table, t, 2 * t, eps) >= per_cell_error_bound(table, t, 2 * t, eps).max(initial=0.0)
 
     @SETTINGS
     @given(kernels, epsilons, window_cases(st.integers(0, 500)), st.integers(0, 1500))
     def test_at_most_the_cap_of_its_radius(self, kernel, eps, case, extra):
         t, _ = case
         table = _WindowTable(kernel, t + extra)
-        assert radius_bound(table, t, np.arange(2 * t + 3), eps) <= error_cap(table, t, eps)
+        assert radius_bound(table, t, 2 * t, eps) <= error_cap(table, t, eps)
 
     @SETTINGS
     @given(kernels, epsilons, st.integers(0, 300), st.integers(1, 40), st.integers(0, 200), st.integers(0, 1000))
     def test_a_block_covers_each_radius_as_alone(self, kernel, eps, t0, rows, privacy_range, extra):
-        # the design scan bounds a block of ascending radii at once, from the block's K rows
+        # the design scan bounds a block of ascending radii at once, from the K of its largest radius;
+        # its separations reach no window end
+        privacy_range = min(privacy_range, 2 * t0)
         t, hs = np.arange(t0, t0 + rows), np.arange(1, privacy_range + 1)
         table = _WindowTable(kernel, int(t[-1]) + extra)
-        block = table.error_bound(t, table.breakdown(t[:, None], hs, eps)[2], eps)
-        assert all(b >= radius_bound(table, int(r), hs, eps) for b, r in zip(block, t))
+        totals, k = table.breakdown(t, hs, eps)
+        bounds = table.error_bound(t, k, eps)
+        assert all(b >= radius_bound(table, int(r), privacy_range, eps) for b, r in zip(bounds, t))
+        # each row is that radius read alone: its K is the largest radius's, lowered and clamped at 0
+        assert all(np.array_equal(row, block(table, int(r), privacy_range, eps)[0]) for row, r in zip(totals, t))
 
     @pytest.mark.parametrize(
         "kernel", [Kernel.laplace(0.5), Kernel.laplace(2.0), Kernel.gaussian(0.3), Kernel.gaussian(3.0)]
@@ -323,9 +359,8 @@ class TestErrorBound:
         # e^eps overflows: the bound is inf where a term is positive, and finite elsewhere
         table = _WindowTable(kernel, 400)
         for t in (1, 30, 400):
-            hs = np.arange(2 * t + 2)
-            k = table.breakdown(t, hs[None, :], eps)[2]
-            bound = radius_bound(table, t, hs, eps)
+            k = block(table, t, 2 * t, eps)[1]
+            bound = radius_bound(table, t, 2 * t, eps)
             assert bound == math.inf if k.any() else math.isfinite(bound)
             assert not bound > error_cap(table, t, eps)
 
@@ -374,9 +409,9 @@ class TestDesignScan:
         radii = []
         breakdown = _WindowTable.breakdown
 
-        def counting_breakdown(self, t, h, epsilon):
-            radii.append(np.asarray(t).ravel().tolist())
-            return breakdown(self, t, h, epsilon)
+        def counting_breakdown(self, t, hs, epsilon):
+            radii.append(t.tolist())
+            return breakdown(self, t, hs, epsilon)
 
         monkeypatch.setattr(_WindowTable, "breakdown", counting_breakdown)
         # rounding * e^40 is far above delta: no bound settles a size unless it drops the e^eps term
@@ -384,6 +419,18 @@ class TestDesignScan:
         assert not res.feasible and res.s_scanned_max == 281
         # sizes 101..281 in ten blocks of ten; each radius read once and none confirmed
         assert len(radii) == 10 and sum(radii, []) == list(range(50, 141))
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(0.5), Kernel.gaussian(2.0)])
+    @pytest.mark.parametrize("privacy_range", [0, 1, 5])
+    def test_delta_1_confirms_size_1_without_a_block(self, monkeypatch, kernel, privacy_range):
+        # every size meets delta = 1: s = 1 is checked on its own table, and no block is read
+        def no_block(*args):
+            raise AssertionError("a block was read")
+
+        monkeypatch.setattr(_WindowTable, "breakdown", no_block)
+        res = min_feasible_support(kernel, 1.0, 1.0, privacy_range)
+        delta_star = worst_case_defect(kernel, 1, 1.0, privacy_range)[0]
+        assert res == DesignResult(True, 1, delta_star, distortion_moments(TruncatedParams(kernel, 1)), 1)
 
     def test_infeasible_reports_the_scan_limit(self):
         res = min_feasible_support(Kernel.gaussian(20.0), 1.0, 1e-3, 20)
