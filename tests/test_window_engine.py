@@ -339,6 +339,11 @@ class TestErrorBound:
 
     @SETTINGS
     @given(kernels, epsilons, st.integers(0, 300), st.integers(1, 40), st.integers(0, 200), st.integers(0, 1000))
+    # e^eps overflows and the block's rows fall on both sides of the first radius with a positive term
+    @example(Kernel.laplace(400.0), 730.0, 1, 5, 2, 3)  # bounds [2.7e-15, inf, inf, inf, inf]
+    @example(Kernel.laplace(400.0), 709.0, 1, 5, 2, 3)
+    @example(Kernel.gaussian(0.3), 720.0, 10, 8, 20, 2)
+    @example(Kernel.gaussian(0.3), 709.0, 5, 8, 10, 2)
     def test_a_block_covers_each_radius_as_alone(self, kernel, eps, t0, rows, privacy_range, extra):
         # the design scan bounds a block of ascending radii at once, from the K of its largest radius;
         # its separations reach no window end
@@ -348,6 +353,9 @@ class TestErrorBound:
         totals, k = table.breakdown(t, hs, eps)
         bounds = table.error_bound(t, k, eps)
         assert all(b >= radius_bound(table, int(r), privacy_range, eps) for b, r in zip(bounds, t))
+        # a bound is inf exactly where e^eps overflows and that radius has a positive term of its own
+        own = [table.positive_terms(int(r), privacy_range, eps)[0].size > 0 for r in t]
+        assert [math.isinf(b) for b in bounds] == [eps >= 709.0 and o for o in own]
         # each row is that radius read alone: its K is the largest radius's, lowered and clamped at 0
         assert all(np.array_equal(row, block(table, int(r), privacy_range, eps)[0]) for row, r in zip(totals, t))
 
