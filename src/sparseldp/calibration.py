@@ -238,8 +238,8 @@ def min_feasible_support(
             t = sizes // 2
             if table is None or table.t_max < t[-1]:
                 table = _WindowTable(kernel, min(max(int(t[-1]), 2 * table.t_max if table else 0), s_max // 2))
-            totals, k = table.breakdown(t, hs, epsilon)
-            surely_above = totals.max(axis=1, initial=0.0) - table.error_bound(t, k, epsilon) > delta
+            totals, bound = table.breakdown(t, hs, epsilon)
+            surely_above = totals.max(axis=1, initial=0.0) - bound > delta
             if surely_above.all():
                 s = int(sizes[-1]) + 2
                 continue

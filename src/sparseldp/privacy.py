@@ -177,7 +177,8 @@ class _WindowTable:
     m entries of the radius-t window weigh G_t(m) = prefix[t_max-t+m] - prefix[t_max-t] and
     its normalizer is C_t = G_t(2t+1).  Leakage and overlap excess then follow the paper's split
     of the two-sum closed form: `separations` reads every separation at t = t_max from one slice,
-    and `breakdown` reads the design scan's blocks of smaller radii; both take K from `positive_terms`.
+    and `breakdown` reads the design scan's blocks of smaller radii, each row with its rounding
+    bound; both take K from `positive_terms`.
     """
 
     def __init__(self, kernel: Kernel, t_max: int):
@@ -242,17 +243,19 @@ class _WindowTable:
         return leakage, excess, lo
 
     def breakdown(self, t: np.ndarray, hs: np.ndarray, epsilon: float):
-        """The design scan's block read: totals of ascending radii t over separations hs = 1..top, and K of t[-1].
+        """The design scan's block read: (totals, bounds) of ascending radii t over separations hs = 1..top.
 
         2 t[0] >= top, so no separation passes a window end.  Row i holds the leakage + excess of radius t[i],
         as `separations` forms them, from this table's prefixes.  The excess is formed only on t[-1]'s K > 0
-        interval, where row i's K is t[-1]'s less t[-1] - t[i], clamped at 0.  K of t[-1] on that interval is
-        what `error_bound` reads.
+        interval, where row i's K is t[-1]'s less t[-1] - t[i], clamped at 0.  bounds[i] is how far row i can
+        be from the same quantity on any table of this kernel: `rounding` times six prefixes, none past the
+        window end, plus e^eps (p[a+K] + p[a]) where K > 0, over C_t (a = t_max - t).  The prefix is monotone,
+        so a row's largest K covers it.  Where K > 0 and `_times_exp` takes logs (eps >= 709), it is inf.
         """
         p, a = self.prefix, self.t_max - t[:, None]
-        p_a = p[a]
-        c = p[self.t_max + 1 + t[:, None]] - p_a
-        totals = (p[a + hs] - p_a) / c
+        p_a, p_end = p[a], p[self.t_max + 1 + t[:, None]]
+        c = p_end - p_a
+        totals, ends = (p[a + hs] - p_a) / c, (6.0 * self.rounding) * p_end
         h, k = self.positive_terms(int(t[-1]), hs.size, epsilon)
         if k.size:
             rows = np.maximum(k - (t[-1] - t[:, None]), 0)
@@ -260,27 +263,13 @@ class _WindowTable:
             p_h = p[a + h]
             excess = np.maximum(p[a + h + rows] - p_h - _times_exp(p[a + rows] - p_a, epsilon), 0.0) / c
             totals[:, cols] += np.minimum(excess, 1.0 - totals[:, cols], out=excess)  # so a total cannot round above 1
-        return totals, k
-
-    def error_bound(self, t, k, epsilon: float):
-        """Per radius, how far a block total can be from the same quantity on any table of this kernel.
-
-        `t` holds a block's ascending radii and `k` the K(h) of t[-1] that `breakdown` gives with its totals.
-        A total rounds by at most `rounding` times six prefixes, none past the
-        window end, plus e^eps (p[a+K] + p[a]) where K > 0, over C_t
-        (a = t_max - t).  The prefix is monotone, so a row's largest K covers
-        it.  Where K > 0 and `_times_exp` takes logs (eps >= 709), it is inf.
-        """
-        p_a, p_end = self.prefix[self.t_max - t], self.prefix[self.t_max + 1 + t]
-        ends = (6.0 * self.rounding) * p_end
-        q = t[-1] - k.max(initial=0)  # row i's K is max(K of t[-1] - (t[-1] - t[i]), 0): its largest is t[i] - q
-        if q < t[-1]:
-            i = t.searchsorted(q, "right")  # rows i.. have K > 0; p[a + t - q] = p[t_max - q]
+            q = t[-1] - k.max()  # row i's largest K is t[i] - q, so rows i.. have K > 0; p[a + t - q] = p[t_max - q]
+            i = t.searchsorted(q, "right")
             if epsilon < _EXP_LIMIT:  # finite: rounding * e^eps < 4e292 and no table holds 1e15 weights
-                ends[i:] += (self.rounding * math.exp(epsilon)) * (self.prefix[self.t_max - q] + p_a[i:])
+                ends[i:] += (self.rounding * math.exp(epsilon)) * (p[self.t_max - q] + p_a[i:])
             else:
                 ends[i:] = math.inf
-        return ends / (p_end - p_a)
+        return totals, (ends / c).ravel()
 
 
 def _overlap_threshold(kernel: Kernel, epsilon: float, t_max: int) -> int:

@@ -168,8 +168,8 @@ def per_cell_error_bound(table, t, top, epsilon):
 
     Each total rounds by at most `table.rounding` times the prefixes it
     reads, p[a+h] + p[a] + total (p[e] + p[a]), plus p[a+h+K] + p[a+h] +
-    e^eps (p[a+K] + p[a]) where K > 0, over C_t; the table's per-radius
-    `error_bound` must never be below it.  K comes from `tie_rule_counts`.
+    e^eps (p[a+K] + p[a]) where K > 0, over C_t; the per-radius bound that
+    `breakdown` gives with the totals must never be below it.  K comes from `tie_rule_counts`.
     """
     hs = np.arange(1, top + 1)
     total = table.breakdown(np.array([t]), hs, epsilon)[0][0]

@@ -246,9 +246,9 @@ def single_radius_reads(draw, radii=st.integers(0, 2000)):
 
 
 def block(table, t, top, eps):
-    """The block read of the single radius t over separations 1..top <= 2t: (its row of totals, K of t)."""
-    totals, k = table.breakdown(np.array([t]), np.arange(1, top + 1), eps)
-    return totals[0], k
+    """The block read of the single radius t over separations 1..top <= 2t: (its row of totals, its bound)."""
+    totals, bounds = table.breakdown(np.array([t]), np.arange(1, top + 1), eps)
+    return totals[0], float(bounds[0])
 
 
 class TestSingleRadiusRead:
@@ -305,7 +305,7 @@ class TestSingleRadiusRead:
 
 def radius_bound(table, t, top, eps):
     """The table's per-radius error bound of radius t over separations 1..top <= 2t."""
-    return float(table.error_bound(np.array([t]), block(table, t, top, eps)[1], eps)[0])
+    return block(table, t, top, eps)[1]
 
 
 class TestErrorBound:
@@ -350,8 +350,7 @@ class TestErrorBound:
         privacy_range = min(privacy_range, 2 * t0)
         t, hs = np.arange(t0, t0 + rows), np.arange(1, privacy_range + 1)
         table = _WindowTable(kernel, int(t[-1]) + extra)
-        totals, k = table.breakdown(t, hs, eps)
-        bounds = table.error_bound(t, k, eps)
+        totals, bounds = table.breakdown(t, hs, eps)
         assert all(b >= radius_bound(table, int(r), privacy_range, eps) for b, r in zip(bounds, t))
         # a bound is inf exactly where e^eps overflows and that radius has a positive term of its own
         own = [table.positive_terms(int(r), privacy_range, eps)[0].size > 0 for r in t]
@@ -367,7 +366,7 @@ class TestErrorBound:
         # e^eps overflows: the bound is inf where a term is positive, and finite elsewhere
         table = _WindowTable(kernel, 400)
         for t in (1, 30, 400):
-            k = block(table, t, 2 * t, eps)[1]
+            k = table.positive_terms(t, 2 * t, eps)[1]
             bound = radius_bound(table, t, 2 * t, eps)
             assert bound == math.inf if k.any() else math.isfinite(bound)
             assert not bound > error_cap(table, t, eps)
