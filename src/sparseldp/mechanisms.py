@@ -381,13 +381,16 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
 
     `distance` is optional and defaults to absolute difference.  This checks only
     the JSON form: the document and kernel objects, canonical keys in `supports`
-    and the distance document; `MechanismSpec` checks every value it passes on.
+    and the distance document, none with a key the schema does not name;
+    `MechanismSpec` checks every value it passes on.
     """
     if not isinstance(doc, Mapping):
         raise SpecError("spec document must be a JSON object")
+    _check_keys("spec", doc, ("kernel", "inputs", "outputs", "supports", "distance"))
     kernel_doc = doc.get("kernel")
     if not isinstance(kernel_doc, Mapping) or "family" not in kernel_doc or "param" not in kernel_doc:
         raise SpecError('spec needs "kernel": {"family": ..., "param": ...}')
+    _check_keys("kernel", kernel_doc, ("family", "param"))
     kernel = Kernel(kernel_doc["family"], kernel_doc["param"])
     supports_doc = doc.get("supports")
     if not isinstance(supports_doc, Mapping):
@@ -413,8 +416,26 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
                 raise SpecError("distance matrix needs numeric values as a list of rows")
         elif dist_doc["type"] != "abs":
             raise SpecError(f"distance type must be \"abs\" or \"matrix\", got {dist_doc['type']!r}")
+        _check_keys("distance", dist_doc, ("type", "values") if distance is not None else ("type",))
 
     return MechanismSpec(kernel, doc.get("inputs"), doc.get("outputs"), supports, distance)
+
+
+def _check_keys(name: str, doc: Mapping, allowed: tuple) -> None:
+    """Refuse a key `allowed` does not name: a misspelled optional key would otherwise be ignored."""
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise SpecError(f"{name} has unknown key {unknown[0]!r}; allowed keys are {', '.join(allowed)}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """`json.load`'s object hook: a key given twice would otherwise keep only its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SpecError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def load_spec(path) -> MechanismSpec:
@@ -423,7 +444,7 @@ def load_spec(path) -> MechanismSpec:
         raise SpecError(f"spec path must be a str, bytes or os.PathLike, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as err:  # undecodable bytes, bad syntax, too-deep nesting, too many digits
         raise SpecError(f"invalid JSON in {path}: {err}") from None
     return spec_from_dict(doc)

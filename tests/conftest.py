@@ -9,6 +9,25 @@ from sparseldp.privacy import _UNTIED
 
 SYMBOLS = np.arange(-10, 11)
 
+# spec files that give one key twice, and that key; `json.load` alone keeps the last value
+DUPLICATE_KEY_SPECS = {
+    "top-level": (
+        '{"kernel": {"family": "laplace", "param": 0.5}, "inputs": [0, 1], "outputs": [0, 1], '
+        '"supports": {"0": [0, 1], "1": [0, 1]}, "kernel": {"family": "gaussian", "param": 1.0}}',
+        "kernel",
+    ),
+    "kernel": (
+        '{"kernel": {"family": "laplace", "param": 0.5, "param": 2.0}, "inputs": [0, 1], "outputs": [0, 1], '
+        '"supports": {"0": [0, 1], "1": [0, 1]}}',
+        "param",
+    ),
+    "supports": (
+        '{"kernel": {"family": "laplace", "param": 0.5}, "inputs": [0, 1], "outputs": [0, 1], '
+        '"supports": {"0": [0, 1], "1": [0, 1], "1": [1]}}',
+        "1",
+    ),
+}
+
 
 def random_kernel(rng):
     if rng.random() < 0.5:

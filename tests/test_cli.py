@@ -9,6 +9,8 @@ import pytest
 from sparseldp import Kernel, min_feasible_support, sweep_support, worst_case_defect
 from sparseldp.cli import main
 
+from conftest import DUPLICATE_KEY_SPECS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -343,6 +345,38 @@ class TestCheckPure:
         code, _, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, bad))
         assert code == 2
         assert "distance[0][0]" in err
+
+    @pytest.mark.parametrize("where", sorted(DUPLICATE_KEY_SPECS))
+    def test_duplicate_key_exits_2(self, capsys, tmp_path, where):
+        text, key = DUPLICATE_KEY_SPECS[where]
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check-pure", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert f"duplicate key '{key}'" in err
+
+    def test_misspelled_distance_exits_2(self, capsys, tmp_path):
+        # spelled right, the matrix gives 0.5 * 5; the misspelled key was read as the absolute distance, 0.5 * 1
+        matrix = {"type": "matrix", "values": [[0, 5], [5, 0]]}
+        code, out, _ = run(capsys, "check-pure", "--spec", self.write(tmp_path, dict(COMMON_SPEC, distance=matrix)))
+        assert code == 0 and "2.5000" in out
+        code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, dict(COMMON_SPEC, distnace=matrix)))
+        assert code == 2 and out == ""
+        assert "unknown key 'distnace'" in err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (dict(COMMON_SPEC, kernel={"family": "laplace", "param": 0.5, "sigma": 1.0}), "sigma"),
+            (dict(COMMON_SPEC, distance={"type": "abs", "values": [[0, 1], [1, 0]]}), "values"),
+            (dict(COMMON_SPEC, distance={"type": "matrix", "values": [[0, 1], [1, 0]], "scale": 2}), "scale"),
+        ],
+        ids=["kernel", "abs-distance", "matrix-distance"],
+    )
+    def test_unknown_nested_key_exits_2(self, capsys, tmp_path, doc, key):
+        code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert f"unknown key '{key}'" in err
 
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -34,7 +34,7 @@ from sparseldp import (
 import sparseldp
 from sparseldp import mechanisms
 from sparseldp.mechanisms import _SAMPLE_CHUNK
-from conftest import log_weights, one_shot_sample, random_spec
+from conftest import DUPLICATE_KEY_SPECS, log_weights, one_shot_sample, random_spec
 
 
 def laplace_window(lam, t, inputs=(0,)):
@@ -498,6 +498,11 @@ class TestSpecJson:
             (lambda d: d.update(distance={"type": "matrix", "values": [[False, True], [True, False]]}), "distance"),
             (lambda d: d.update(distance={"type": "euclid"}), "distance type"),
             (lambda d: d.update(distance={"type": "matrix"}), "matrix"),
+            # keys the schema does not name: a misspelled "distance" would fall back to the absolute distance
+            (lambda d: d.update(distnace={"type": "matrix", "values": [[0, 5], [5, 0]]}), "spec has .* 'distnace'"),
+            (lambda d: d.update(kernel={"family": "laplace", "param": 0.5, "sigma": 1}), "kernel has .* 'sigma'"),
+            (lambda d: d.update(distance={"type": "abs", "values": [[0, 1], [1, 0]]}), "distance has .* 'values'"),
+            (lambda d: d.update(distance={"type": "matrix", "values": [[0, 1], [1, 0]], "scale": 2}), "'scale'"),
         ],
     )
     def test_first_violated_constraint_is_named(self, mutate, message):
@@ -505,6 +510,14 @@ class TestSpecJson:
         mutate(doc)
         with pytest.raises(SpecError, match=message):
             spec_from_dict(doc)
+
+    @pytest.mark.parametrize("where", sorted(DUPLICATE_KEY_SPECS))
+    def test_duplicate_key_is_named(self, tmp_path, where):
+        text, key = DUPLICATE_KEY_SPECS[where]
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(SpecError, match=f"duplicate key '{key}'"):
+            load_spec(path)
 
     def test_document_must_be_an_object(self):
         with pytest.raises(SpecError, match="JSON object"):
