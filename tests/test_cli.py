@@ -355,25 +355,18 @@ class TestCheckPure:
         assert code == 2 and out == ""
         assert f"duplicate key '{key}'" in err
 
-    def test_misspelled_distance_exits_2(self, capsys, tmp_path):
-        # spelled right, the matrix gives 0.5 * 5; the misspelled key was read as the absolute distance, 0.5 * 1
-        matrix = {"type": "matrix", "values": [[0, 5], [5, 0]]}
-        code, out, _ = run(capsys, "check-pure", "--spec", self.write(tmp_path, dict(COMMON_SPEC, distance=matrix)))
-        assert code == 0 and "2.5000" in out
-        code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, dict(COMMON_SPEC, distnace=matrix)))
-        assert code == 2 and out == ""
-        assert "unknown key 'distnace'" in err
-
     @pytest.mark.parametrize(
         "doc, key",
         [
+            # read as the absolute distance, where the matrix gives a level of 2.5 instead of 0.5
+            (dict(COMMON_SPEC, distnace={"type": "matrix", "values": [[0, 5], [5, 0]]}), "distnace"),
             (dict(COMMON_SPEC, kernel={"family": "laplace", "param": 0.5, "sigma": 1.0}), "sigma"),
             (dict(COMMON_SPEC, distance={"type": "abs", "values": [[0, 1], [1, 0]]}), "values"),
             (dict(COMMON_SPEC, distance={"type": "matrix", "values": [[0, 1], [1, 0]], "scale": 2}), "scale"),
         ],
-        ids=["kernel", "abs-distance", "matrix-distance"],
+        ids=["top-level", "kernel", "abs-distance", "matrix-distance"],
     )
-    def test_unknown_nested_key_exits_2(self, capsys, tmp_path, doc, key):
+    def test_unknown_key_exits_2(self, capsys, tmp_path, doc, key):
         code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, doc))
         assert code == 2 and out == ""
         assert f"unknown key '{key}'" in err
