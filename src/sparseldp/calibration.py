@@ -185,9 +185,9 @@ def min_feasible_support(
 ) -> DesignResult:
     """Smallest window size meeting the defect target, by closed form or ascending exact scan.
 
-    Sizes below the disjointness threshold are skipped when delta < 1 (their
-    defect is exactly 1); for delta = 1 every size is feasible, and s = 1 is
-    confirmed without a scan.  The default scan limit reaches the low end of
+    Size 1 meets delta = 1, and every delta at range 0: it is confirmed before
+    any scan.  Otherwise sizes below the disjointness threshold are skipped
+    (their defect is exactly 1).  The default scan limit reaches the low end of
     `sufficient_support`, the least size the tail bound certifies.
 
     In the Laplace clean regime (lam * range <= epsilon, ties within 8
@@ -223,23 +223,23 @@ def min_feasible_support(
         s_max = _check_int("scan limit", s_max, 1)
         if s_max % 2 == 0:
             raise SpecError(f"scan limit must be odd, got {s_max}")
-    start = 1 if delta >= 1.0 else feasibility_min_support(privacy_range)
-    lam = kernel.param
-    clean = kernel.family == LAPLACE and 0 < privacy_range <= _clean_radius(kernel, epsilon, privacy_range)
-    located = _laplace_clean_radius(lam, delta, privacy_range, start, s_max) if clean and delta < 1.0 else None
+    start, lam = feasibility_min_support(privacy_range), kernel.param
+    clean = kernel.family == LAPLACE and privacy_range <= _clean_radius(kernel, epsilon, privacy_range)
+    trivial = delta == 1.0 or privacy_range == 0  # radius 0 meets the target: no defect is above 1, none at range 0
+    located = 0 if trivial else _laplace_clean_radius(lam, delta, privacy_range, start, s_max) if clean else None
     s = start if located is None else 2 * located + 1
     closed = located is not None and _CONFIRM_RADIUS < located  # fixed here, so a search on tables stays on them
     hs = np.arange(1, privacy_range + 1)
     rows = max(1, _SCAN_BLOCK // max(privacy_range, 1))
     table = None
     while s <= s_max:
-        if located is None and delta < 1.0:  # s >= range + 1; at delta = 1, s = 1 is feasible and confirmed at once
+        if located is None:  # delta < 1 and range >= 1, so every row reads a separation
             sizes = np.arange(s, min(s + 2 * rows, s_max + 2), 2)
             t = sizes // 2
             if table is None or table.t_max < t[-1]:
                 table = _WindowTable(kernel, min(max(int(t[-1]), 2 * table.t_max if table else 0), s_max // 2))
             totals, bound = table.breakdown(t, hs, epsilon)
-            surely_above = totals.max(axis=1, initial=0.0) - bound > delta
+            surely_above = totals.max(axis=1) - bound > delta
             if surely_above.all():
                 s = int(sizes[-1]) + 2
                 continue

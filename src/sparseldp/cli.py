@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .calibration import min_feasible_support, sweep_param, sweep_support
 from .mechanisms import Kernel, SpecError, TruncatedParams, load_spec, sample, sample_counts
@@ -21,8 +21,8 @@ FORMATS = ("csv", "json", "table")
 
 
 def _fmt4(x: float) -> str:
-    # half-away-from-zero on the exact binary value
-    return str(Decimal(x).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    # half-away-from-zero on the exact binary value, in 330 digits: a finite float has at most 309 before the point
+    return str(Decimal(x).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP, context=Context(prec=330)))
 
 
 def _csv_cell(v) -> str:
@@ -107,7 +107,7 @@ def cmd_sweep(args) -> tuple[str, int]:
         ["varied", "delta_star", "r1", "r2"],
         [[r.varied, r.delta_star, r.r1, r.r2] for r in rows],
         args.format,
-        table_formats={"varied": "{:g}".format},
+        table_formats={"varied": lambda v: repr(v).removesuffix(".0")},  # the value as given, 3 not 3.0
     )
     return text, 0
 

@@ -58,12 +58,10 @@ class Kernel:
         return cls(GAUSSIAN, sigma)
 
     def log_weight(self, distance):
-        """Log kernel weight at nonnegative distance(s); accepts scalars or arrays."""
+        """Log kernel weight at nonnegative distance(s), scalars or arrays; -inf (a 0.0 weight) past float range."""
         d = np.asarray(distance, dtype=float)
-        if self.family == LAPLACE:
-            out = -self.param * d
-        else:
-            out = -(d * d) / (2.0 * self.param * self.param)
+        with np.errstate(over="ignore"):  # lam d past float range (lam = 1e308, d = 2), or d^2 / 2e-320
+            out = -self.param * d if self.family == LAPLACE else -(d * d) / (2.0 * self.param * self.param)
         return out if out.ndim else float(out)
 
 
@@ -189,7 +187,6 @@ class MechanismSpec:
             input_rows[x] = columns[x], self.kernel.log_weight(d)
             if not np.isfinite(input_rows[x][1]).all():
                 raise SpecError(f"kernel weights of input {x} are beyond float range: a distance is too large")
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", input_rows)
 
     def support(self, x: int) -> tuple[int, ...]:
@@ -262,18 +259,18 @@ def truncated_pmf(params: TruncatedParams, x: int) -> dict[int, float]:
 def _row(mechanism: Union[MechanismSpec, TruncatedParams], x: int) -> tuple[Sequence[int], np.ndarray]:
     """Input x's ascending support (a `range` for a window) and its masses w / w.sum(), one float array.
 
-    w = exp(lw - max lw) peaks at exactly 1, so the sum cannot underflow however far S(x) lies from x.  When x
-    is in S(x), as in every window, max lw is -0.0 and w is exp(lw): for a window, `window_weights` bit for bit.
+    A window's w is `window_weights`, which peaks at W(0) = 1.  A spec's w = exp(lw - max lw) peaks at exactly 1
+    too, so neither sum can underflow, however far S(x) lies from x.
     """
     if isinstance(mechanism, TruncatedParams):
         x, t = _check_int("input", x), mechanism.t
-        support, lw = range(x - t, x + t + 1), mechanism.kernel.log_weight(np.abs(np.arange(-t, t + 1, dtype=float)))
+        support, w = range(x - t, x + t + 1), window_weights(mechanism.kernel, t)
     elif isinstance(mechanism, MechanismSpec):
         support, lw = mechanism.support(x), mechanism._rows[int(x)][1]
+        w = lw - lw.max()
+        np.exp(w, out=w)  # in place, as a row can hold millions of masses
     else:
         raise SpecError(f"mechanism must be a MechanismSpec or TruncatedParams, got {mechanism!r}")
-    w = lw - lw.max()
-    np.exp(w, out=w)  # in place, as a window's row can hold millions of masses
     return support, np.divide(w, w.sum(), out=w)
 
 
@@ -291,7 +288,7 @@ def distortion_moments(params: TruncatedParams) -> DistortionMoments:
 
     C_t is `np.sum` over the full window; design searches and sweeps read the same floats from their table."""
     t = _check_instance("window", params, TruncatedParams).t
-    return _window_moments(np.exp(params.kernel.log_weight(np.abs(np.arange(-t, t + 1, dtype=float)))))
+    return _window_moments(window_weights(params.kernel, t))
 
 
 def _window_moments(window: np.ndarray) -> DistortionMoments:

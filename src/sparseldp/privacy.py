@@ -172,7 +172,8 @@ class _WindowTable:
     """Prefix masses of every window of radius <= t_max for one kernel.
 
     `ring` is 0 and then the radius-t_max window W(t_max), ..., W(0), ..., W(t_max), the kernel
-    weights at each offset, the same floats `window_weights` gives.  `prefix[i]` is the mass
+    weights at each offset.  It is the one copy of `window_weights` kept on purpose: the same
+    floats, from t_max + 1 exps mirrored into the buffer the prefix sums read.  `prefix[i]` is the mass
     of the i outermost offsets -t_max..-t_max+i-1, summed from the tail inwards, so the first
     m entries of the radius-t window weigh G_t(m) = prefix[t_max-t+m] - prefix[t_max-t] and
     its normalizer is C_t = G_t(2t+1).  Leakage and overlap excess then follow the paper's split
@@ -224,14 +225,15 @@ class _WindowTable:
         return h, (t + 1) - (h + (j_min + 1)) // 2
 
     def separations(self, top: int, epsilon: float):
-        """(leakage, excess, lo) of the radius-t_max window at separations 0..top <= 2 t_max + 1.
+        """(leakage, excess, lo) of the radius-t_max window at separations 0..min(top, 2 t_max + 1).
 
+        Past 2 t_max + 1 the windows are disjoint, with (1, 0) as at 2 t_max + 1, so they are not read.
         prefix[0] is exactly 0, so the leakage G_t(h) / C_t is one slice prefix[:top+1] / C_t.  The excess,
         (G_t(h+K) - G_t(h) - e^eps G_t(K)) / C_t, is formed only where K(h) > 0 (`positive_terms`) and returned
         as excess[i] at separation lo + i; it is exactly 0 elsewhere.  Every finite eps >= 0 is answered:
         e^eps G_t(K) is formed by `_times_exp`.
         """
-        p, c = self.prefix, self.prefix[2 * self.t_max + 1]
+        top, p, c = min(top, 2 * self.t_max + 1), self.prefix, self.prefix[2 * self.t_max + 1]
         leakage = p[: top + 1] / c
         h, k = self.positive_terms(self.t_max, top, epsilon)
         if not k.size:
@@ -317,10 +319,10 @@ def separation_breakdown(kernel: Kernel, epsilon: float, radius: int, separation
     Gives the same floats as `worst_case_defect` at every separation.
     """
     epsilon = _check_epsilon(epsilon)
-    t = _check_int("radius", radius, 0)
-    top = min(_check_int("separation", separation, 0), 2 * t + 1)  # disjoint past 2t + 1, as at 2t + 1: (1, 0)
-    leakage, excess, lo = _WindowTable(_check_instance("kernel", kernel, Kernel), t).separations(top, epsilon)
-    return DefectBreakdown(float(leakage[top]), float(excess[top - lo]) if top - lo < excess.size else 0.0)
+    t, separation = _check_int("radius", radius, 0), _check_int("separation", separation, 0)
+    leakage, excess, lo = _WindowTable(_check_instance("kernel", kernel, Kernel), t).separations(separation, epsilon)
+    # the last separation read is min(separation, 2t + 1): disjoint windows are (1, 0), as at 2t + 1
+    return DefectBreakdown(float(leakage[-1]), float(excess[-1]) if lo + excess.size == leakage.size else 0.0)
 
 
 def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,10 +330,9 @@ def separation_profile(kernel: Kernel, s: int, epsilon: float, privacy_range: in
     t = TruncatedParams(kernel, s).t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
-    top = min(privacy_range, 2 * t + 1)  # separations past 2t + 1 are disjoint: (1, 0), as at 2t + 1
-    part, segment, lo = _WindowTable(kernel, t).separations(top, epsilon)
-    leakage, excess = np.ones(privacy_range + 1), np.zeros(privacy_range + 1)
-    leakage[: top + 1], excess[lo : lo + segment.size] = part, segment
+    part, segment, lo = _WindowTable(kernel, t).separations(privacy_range, epsilon)
+    leakage, excess = np.ones(privacy_range + 1), np.zeros(privacy_range + 1)  # disjoint past 2t + 1: (1, 0)
+    leakage[: part.size], excess[lo : lo + segment.size] = part, segment
     return leakage, excess
 
 
@@ -353,6 +354,6 @@ def _worst_case(kernel: Kernel, s: int, epsilon: float, privacy_range: int) -> t
     epsilon = _check_epsilon(epsilon)
     privacy_range = _check_int("privacy range", privacy_range, 0)
     table = _WindowTable(kernel, t)
-    total, excess, lo = table.separations(min(privacy_range, 2 * t + 1), epsilon)
+    total, excess, lo = table.separations(privacy_range, epsilon)
     total[lo : lo + excess.size] += excess  # exactly 0 at separation 0, so the first argmax is 0 when nothing leaks
     return float(total.max()), int(total.argmax()), table

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparseldp import (
     CleanBoundReport,
     DesignResult,
+    DistortionMoments,
     Kernel,
     SpecError,
     TruncatedParams,
@@ -346,6 +347,14 @@ class TestMinFeasibleSupport:
         res = min_feasible_support(Kernel.laplace(0.5), 1.0, 1.0, 3)
         assert res.feasible and res.s_chosen == 1
         assert res.moments.r1 == 0.0
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(0.5), Kernel.laplace(1e-3), Kernel.gaussian(30.0)])
+    @pytest.mark.parametrize("delta", [1e-6, 0.5])
+    def test_range_0_builds_one_radius_0_table(self, monkeypatch, kernel, delta):
+        # no separation can leak at range 0, so size 1 meets every target and is confirmed on its own table
+        radii = table_radii(monkeypatch)
+        res = min_feasible_support(kernel, 1.0, delta, 0)
+        assert res == DesignResult(True, 1, 0.0, DistortionMoments(0.0, 0.0), 1) and radii == [0]
 
     def test_minimality_certified_by_rescan(self):
         for kernel, eps, delta, H in (

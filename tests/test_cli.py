@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from sparseldp import Kernel, min_feasible_support, sweep_support, worst_case_defect
-from sparseldp.cli import main
+from sparseldp import Kernel, load_spec, min_feasible_support, pure_ldp_epsilon, sweep_support, worst_case_defect
+from sparseldp.cli import _fmt4, main
 
 from conftest import DUPLICATE_KEY_SPECS
 
@@ -33,17 +33,24 @@ MISMATCH_SPEC = {
 }
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # every subcommand but `sample` would otherwise pay for numpy.random's import time and memory
+def fresh_interpreter(*argv):
+    """Run `python *argv` with this checkout's src/ first on the path; returns the completed process."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # every subcommand but `sample` would otherwise pay for numpy.random's import time and memory
     probe = (
         "import sys, numpy\n"
         "by_numpy = 'numpy.random' in sys.modules\n"
         "import sparseldp.cli\n"
         "print(by_numpy, 'numpy.random' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    proc = fresh_interpreter("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
     if out.split()[0] == "True":
         pytest.skip("this numpy imports numpy.random itself")
     assert out.split() == ["False", "False"]
@@ -107,6 +114,15 @@ class TestDefect:
         )
         assert code == 2 and out == ""
         assert "underflows" in err
+
+    @pytest.mark.parametrize("family, param", [("laplace", "1e308"), ("gaussian", "1e-160")])
+    def test_weights_past_float_range_are_zero(self, capsys, family, param):
+        # every weight off the centre is 0.0, so at separation 1 an input's whole mass is overlap excess
+        argv = ["defect", "--family", family, "--param", param, "--s", "5", "--eps", "1", "--range", "1"]
+        assert run(capsys, *argv) == (0, "delta_star  argmax_h\n1.0000      1\n", "")
+        # numpy's overflow warning would print on stderr in a plain interpreter
+        proc = fresh_interpreter("-m", "sparseldp.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "delta_star  argmax_h\n1.0000      1\n", "")
 
     def test_per_h_negative_range_exits_2(self, capsys):
         code, out, err = run(
@@ -191,6 +207,14 @@ class TestDesign:
         assert code == 0
         assert json.loads(out)["s"] == 21
 
+    def test_table_prints_a_moment_past_28_digits(self, capsys):
+        # r2 is 3.29e25; its 4-decimal value has 30 digits, past decimal's default context of 28
+        argv = ["design", "--family", "laplace", "--param", "1e-15", "--eps", "1", "--delta", "1e-13", "--range", "2"]
+        code, out, _ = run(capsys, *argv)
+        r2 = json.loads(run(capsys, *argv, "--format", "json")[1])["r2"]
+        assert code == 0 and r2 > 1e25
+        assert out.splitlines()[1].split()[4] == f"{int(r2)}.0000"
+
     def test_bad_delta_exits_2(self, capsys):
         code, _, err = run(
             capsys, "design", "--family", "laplace", "--param", "0.5", "--eps", "1", "--delta", "0", "--range", "3"
@@ -225,6 +249,21 @@ class TestSweep:
         assert code == 0
         row = next(line for line in out.splitlines() if line.startswith("2 "))
         assert row.split() == ["2", "0.2012", "1.3267", "2.6929"]
+
+    def test_table_prints_each_varied_value_as_given(self, capsys):
+        # 6 significant digits would print both sizes as 1e+06, and the parameter as 123457
+        code, out, _ = run(
+            capsys,
+            "sweep", "--kind", "support", "--family", "gaussian", "--param", "100", "--eps", "1", "--range", "2",
+            "--s-list", "1000001,1000003",
+        )
+        assert code == 0 and [line.split()[0] for line in out.splitlines()] == ["varied", "1000001", "1000003"]
+        code, out, _ = run(
+            capsys,
+            "sweep", "--kind", "param", "--family", "gaussian", "--s", "7", "--eps", "1", "--range", "2",
+            "--param-list", "123456.789,2.5",
+        )
+        assert code == 0 and [line.split()[0] for line in out.splitlines()] == ["varied", "123456.789", "2.5"]
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
@@ -321,6 +360,18 @@ class TestCheckPure:
         assert code == 1
         doc = json.loads(out)
         assert doc["finite"] is False and doc["epsilon_star"] is None
+
+    def test_table_prints_a_level_past_28_digits(self, capsys, tmp_path):
+        doc = {
+            "kernel": {"family": "gaussian", "param": 1e-10},
+            "inputs": [0, 1000],
+            "outputs": [0, 1000],
+            "supports": {"0": [0, 1000], "1000": [0, 1000]},
+        }
+        path = self.write(tmp_path, doc)
+        code, out, _ = run(capsys, "check-pure", "--spec", path)
+        level = pure_ldp_epsilon(load_spec(path)).epsilon_star  # 5e25
+        assert code == 0 and out.splitlines()[0] == f"pure level: {int(level)}.0000"
 
     def test_single_input(self, capsys, tmp_path):
         doc = {
@@ -467,3 +518,9 @@ class TestSample:
         code, out, err = run(capsys, "sample", "--family", "laplace", "--param", "0.5", "--s", "3", "--n", "2", *flags)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("x", [1.7976931348623157e308, -1.7976931348623157e308, 1e25, 2.0**80 + 2.0**28])
+def test_table_cell_of_any_finite_float(x):
+    # a float this large is an integer, so its 4-decimal cell is its digits and .0000
+    assert _fmt4(x) == f"{int(x)}.0000"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseldp import (
+    DistortionMoments,
     Kernel,
     MechanismSpec,
     SpecError,
@@ -69,6 +70,21 @@ class TestKernelValidation:
         assert type(Kernel("gaussian", np.int64(3)).param) is float
         with pytest.raises(SpecError):
             Kernel.laplace(np.bool_(True))
+
+    @pytest.mark.parametrize("kernel, distance", [(Kernel.laplace(1e308), 2.0), (Kernel.gaussian(1e-160), 1.0)])
+    def test_weights_past_float_range_are_zero_without_a_warning(self, kernel, distance):
+        # the suite turns every RuntimeWarning into an error, numpy's overflow warning among them
+        assert kernel.log_weight(distance) == -math.inf
+        assert kernel.log_weight(np.array([0.0, distance])).tolist() == [0.0, -math.inf]
+        window = TruncatedParams(kernel, 5)
+        assert window_weights(kernel, 2).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert worst_case_defect(kernel, 5, 1.0, 3) == (1.0, 1)
+        assert sample(window, 4, 1, 10).tolist() == [4] * 10
+        assert distortion_moments(window) == DistortionMoments(0.0, 0.0)
+        assert [row.delta_star for row in sweep_support(kernel, 1.0, 2, [3, 5])] == [1.0, 1.0]
+        assert not min_feasible_support(kernel, 1.0, 0.1, 2).feasible
+        with pytest.raises(SpecError, match="beyond float range"):  # a spec still refuses a weight of 0
+            MechanismSpec(kernel, [0], [0, 2], {0: [0, 2]})
 
     @pytest.mark.parametrize("s", [0, 2, 4, -3])
     def test_even_or_nonpositive_support_size_rejected(self, s):
