@@ -31,6 +31,18 @@ from .mechanisms import (
 )
 from .privacy import _overlap_threshold, _WindowTable, _worst_case, separation_breakdown
 
+__all__ = [
+    "CleanBoundReport",
+    "DesignResult",
+    "SweepRow",
+    "clean_bound",
+    "feasibility_min_support",
+    "min_feasible_support",
+    "sufficient_support",
+    "sweep_param",
+    "sweep_support",
+]
+
 
 @dataclass(frozen=True)
 class CleanBoundReport:

@@ -93,6 +93,12 @@ def cmd_design(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
+    # each kind reads one fixed flag and one list; the other kind's two would be ignored, so they are refused
+    others = {"support": {"--s": args.s, "--param-list": args.param_list},
+              "param": {"--param": args.param, "--s-list": args.s_list}}[args.kind]
+    extra = [flag for flag, value in others.items() if value is not None]
+    if extra:
+        raise SpecError(f"{args.kind} sweep does not take {extra[0]}")
     if args.kind == "support":
         if args.s_list is None or args.param is None:
             raise SpecError("support sweep needs --param (fixed kernel) and --s-list (varied sizes)")
@@ -134,22 +140,26 @@ def cmd_sample(args) -> tuple[str, int]:
         values, counts = sample_counts(params, args.x, args.seed, args.n)
         rows = [list(row) for row in zip(values.tolist(), counts.tolist())]
         return _render(["value", "count"], rows, args.format), 0
-    draws = sample(params, args.x, args.seed, args.n)
+    draws = sample(params, args.x, args.seed, args.n).tolist()
     if args.format == "json":
-        text = _render(["samples"], [[[int(v) for v in draws]]], "json", record=True)
+        text = _render(["samples"], [[draws]], "json", record=True)
     elif args.format == "csv":
-        text = _render(["sample"], [[int(v)] for v in draws], "csv")
+        text = _render(["sample"], [[v] for v in draws], "csv")
     else:
         # a raw table is the bare draws, one per line, without a header
-        text = "".join(f"{int(v)}\n" for v in draws)
+        text = "".join(f"{v}\n" for v in draws)
     return text, 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, family=True) -> None:
+def _subcommand(sub, name: str, func, help: str, *, family=True) -> argparse.ArgumentParser:
+    """Add subcommand `name`, run by `func`, with the options every subcommand shares."""
+    p = sub.add_parser(name, help=help)
     if family:
         p.add_argument("--family", choices=("laplace", "gaussian"), required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("defect", help="worst-case defect of a window family over a privacy range")
-    _add_common(p)
+    p = _subcommand(sub, "defect", cmd_defect, "worst-case defect of a window family over a privacy range")
     p.add_argument("--param", type=float, required=True, help="kernel parameter (lam or sigma)")
     p.add_argument("--s", type=int, required=True, help="odd support size")
     p.add_argument("--eps", type=float, required=True)
@@ -168,10 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--per-h", dest="per_h", action="store_true", help="one row per separation with the leakage/overlap split"
     )
-    p.set_defaults(func=cmd_defect)
 
-    p = sub.add_parser("design", help="smallest support size meeting a defect target")
-    _add_common(p)
+    p = _subcommand(sub, "design", cmd_design, "smallest support size meeting a defect target")
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -179,10 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--s-max", dest="s_max", type=int, default=None, help="odd scan limit (defaults to a generous bound)"
     )
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("sweep", help="tabulate defect and distortion over sizes or kernel parameters")
-    _add_common(p)
+    p = _subcommand(sub, "sweep", cmd_sweep, "tabulate defect and distortion over sizes or kernel parameters")
     p.add_argument("--kind", choices=("support", "param"), required=True)
     p.add_argument("--param", type=float, default=None, help="fixed kernel parameter (support sweep)")
     p.add_argument("--s", type=int, default=None, help="fixed support size (param sweep)")
@@ -190,22 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=int, required=True)
     p.add_argument("--s-list", dest="s_list", default=None, help="comma-separated odd sizes to sweep")
     p.add_argument("--param-list", dest="param_list", default=None, help="comma-separated kernel parameters to sweep")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("check-pure", help="exact pure level of a channel spec, or its mismatch witness")
-    _add_common(p, family=False)
+    p = _subcommand(sub, "check-pure", cmd_check_pure, "exact pure level of a channel spec, or its mismatch witness",
+                    family=False)
     p.add_argument("--spec", required=True, help="path to a MechanismSpec JSON file")
-    p.set_defaults(func=cmd_check_pure)
 
-    p = sub.add_parser("sample", help="seeded draws from a window family")
-    _add_common(p)
+    p = _subcommand(sub, "sample", cmd_sample, "seeded draws from a window family")
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--histogram", action="store_true", help="emit value/count pairs instead of raw draws")
-    p.set_defaults(func=cmd_sample)
 
     return parser
 

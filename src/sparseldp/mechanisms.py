@@ -18,6 +18,25 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+__all__ = [
+    "GAUSSIAN",
+    "LAPLACE",
+    "DistortionMoments",
+    "Kernel",
+    "MechanismSpec",
+    "SpecError",
+    "TruncatedParams",
+    "UnknownInputError",
+    "distortion_moments",
+    "load_spec",
+    "sample",
+    "sample_counts",
+    "spec_from_dict",
+    "truncated_pmf",
+    "truncated_spec",
+    "window_weights",
+]
+
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
 
@@ -376,7 +395,8 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
           "distance": {"type": "abs"} | {"type": "matrix", "values": [[number]]}
         }
 
-    `distance` is optional and defaults to absolute difference.  This checks only
+    `distance` is either omitted, which means {"type": "abs"} (the absolute
+    difference), or one of the two objects; null is refused.  This checks only
     the JSON form: the document and kernel objects, canonical keys in `supports`
     and the distance document, none with a key the schema does not name;
     `MechanismSpec` checks every value it passes on.
@@ -403,8 +423,8 @@ def spec_from_dict(doc: Mapping) -> MechanismSpec:
         supports[x] = sup
 
     distance = None
-    dist_doc = doc.get("distance")
-    if dist_doc is not None:
+    if "distance" in doc:  # an explicit null is refused, not read as the absolute difference
+        dist_doc = doc["distance"]
         if not isinstance(dist_doc, Mapping) or "type" not in dist_doc:
             raise SpecError('distance must be {"type": "abs"} or {"type": "matrix", "values": [[number]]}')
         if dist_doc["type"] == "matrix":

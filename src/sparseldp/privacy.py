@@ -26,6 +26,18 @@ from .mechanisms import (
     _check_int,
 )
 
+__all__ = [
+    "DefectBreakdown",
+    "PureLdpResult",
+    "brute_force_defect",
+    "exhaustive_event_defect",
+    "ordered_defect",
+    "pure_ldp_epsilon",
+    "separation_breakdown",
+    "separation_profile",
+    "worst_case_defect",
+]
+
 
 @dataclass(frozen=True)
 class DefectBreakdown:

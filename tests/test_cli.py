@@ -307,14 +307,31 @@ class TestSweep:
         assert message in err
 
     @pytest.mark.parametrize(
-        "varied, flag",
-        [(["--kind", "param", "--param-list", "0.5"], "--s"), (["--kind", "support", "--s-list", "7"], "--param")],
-        ids=["param", "support"],
+        "varied, message",
+        [
+            (["--kind", "param", "--param-list", "0.5"], "param sweep needs --s "),
+            (["--kind", "support", "--s-list", "7"], "support sweep needs --param "),
+            # the other kind's fixed flag and list would be ignored
+            (["--kind", "support", "--param", "0.5", "--s-list", "7", "--s", "5"], "support sweep does not take --s\n"),
+            (
+                ["--kind", "support", "--param", "0.5", "--s-list", "7", "--param-list", "1"],
+                "support sweep does not take --param-list\n",
+            ),
+            (
+                ["--kind", "param", "--s", "7", "--param-list", "0.5", "--param", "1"],
+                "param sweep does not take --param\n",
+            ),
+            (
+                ["--kind", "param", "--s", "7", "--param-list", "0.5", "--s-list", "5"],
+                "param sweep does not take --s-list\n",
+            ),
+        ],
+        ids=["param", "support", "support-s", "support-param-list", "param-param", "param-s-list"],
     )
-    def test_kind_requires_matching_flags(self, capsys, varied, flag):
-        code, _, err = run(capsys, "sweep", *varied, "--family", "laplace", "--eps", "1", "--range", "2")
-        assert code == 2
-        assert flag in err
+    def test_kind_requires_matching_flags(self, capsys, varied, message):
+        code, out, err = run(capsys, "sweep", *varied, "--family", "laplace", "--eps", "1", "--range", "2")
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "varied",
@@ -421,6 +438,12 @@ class TestCheckPure:
         code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, doc))
         assert code == 2 and out == ""
         assert f"unknown key '{key}'" in err
+
+    def test_null_distance_exits_2(self, capsys, tmp_path):
+        # omitting the key means the absolute difference; an explicit null is not read as a missing key
+        code, out, err = run(capsys, "check-pure", "--spec", self.write(tmp_path, dict(COMMON_SPEC, distance=None)))
+        assert code == 2 and out == ""
+        assert err.startswith("error: distance must be") and err.count("\n") == 1
 
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -33,7 +33,7 @@ from sparseldp import (
     worst_case_defect,
 )
 import sparseldp
-from sparseldp import mechanisms
+from sparseldp import calibration, mechanisms, privacy
 from sparseldp.mechanisms import _SAMPLE_CHUNK
 from conftest import DUPLICATE_KEY_SPECS, log_weights, one_shot_sample, random_spec
 
@@ -510,6 +510,7 @@ class TestSpecJson:
             (lambda d: d.update(supports={"0": 5, "1": [0, 1]}), "list of integers"),
             (lambda d: d.update(supports={"0": [0, 1.5], "1": [0, 1]}), "must contain integers"),
             (lambda d: d.update(distance="abs"), "distance must be"),
+            (lambda d: d.update(distance=None), "distance must be"),
             (lambda d: d.update(distance={"type": "matrix", "values": [["0", "1"], ["1", "0"]]}), "distance"),
             (lambda d: d.update(distance={"type": "matrix", "values": [[False, True], [True, False]]}), "distance"),
             (lambda d: d.update(distance={"type": "euclid"}), "distance type"),
@@ -554,6 +555,31 @@ def test_public_names_are_unique_and_bound_by_the_star_import():
     exec("from sparseldp import *", star)  # raises if an entry does not resolve
     del star["__builtins__"]
     assert sorted(star) == sorted(names)
+
+
+def _top_level_names(module) -> set[str]:
+    """Names a module's top-level def, class and assignment statements bind, read from its source."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", [calibration, mechanisms, privacy], ids=lambda m: m.__name__)
+def test_each_module_lists_exactly_its_public_definitions_in_all(module):
+    # a public call is named once, next to its definition; the package re-exports the three lists
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == {n for n in _top_level_names(module) if not n.startswith("_")}
+
+
+def test_package_init_defines_nothing_public():
+    # the package only re-exports the modules' names
+    assert {n for n in _top_level_names(sparseldp) if not n.startswith("__")} == set()
+    assert sparseldp.__all__ == calibration.__all__ + mechanisms.__all__ + privacy.__all__
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
